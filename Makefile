@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-repo check bench bench-smoke serve-smoke redteam-smoke temporal-differential
+.PHONY: build test race vet fmt lint lint-repo check bench bench-smoke serve-smoke redteam-smoke temporal-differential servebench-check
 
 build:
 	$(GO) build ./...
@@ -54,9 +54,8 @@ bench-smoke:
 # 64-session pool on an ephemeral port, driven by `mte4jni load` (mixed
 # faulting traffic, then a 64-worker full-capacity burst), /metrics
 # reconciliation, clean SIGTERM shutdown. Also runs the sharded-admission
-# section (8 shards, exact per-shard lease reconciliation + balance check),
-# the cluster section (2 daemons behind the built-in L7 balancer, open-loop
-# Poisson load gated on p99 SLO, drain-aware SIGTERM), and the shard-scaling
+# section (8 shards, exact per-shard lease reconciliation + balance check,
+# then open-loop Poisson load gated on a p99 SLO) and the shard-scaling
 # bench gate. See scripts/serve_smoke.sh.
 serve-smoke:
 	GO="$(GO)" sh ./scripts/serve_smoke.sh
@@ -76,6 +75,12 @@ temporal-differential:
 redteam-smoke:
 	GO="$(GO)" sh ./scripts/redteam_smoke.sh
 
+# The serving benchmark is its own module (servebench/go.mod, replacing
+# mte4jni with this checkout): vet and test it so a change here that breaks
+# the benchmark's build fails the gate.
+servebench-check:
+	cd servebench && $(GO) vet ./... && $(GO) test ./...
+
 # Extended tier-1 gate (see ROADMAP.md).
-check: fmt vet lint-repo race lint temporal-differential bench-smoke serve-smoke redteam-smoke
+check: fmt vet lint-repo race lint temporal-differential bench-smoke serve-smoke redteam-smoke servebench-check
 	@echo "check: ok"

@@ -86,13 +86,6 @@ type WindowEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// NewWindowEvent builds one window event. Window-event construction is
-// encapsulated in this package (tools/lintrepo temporal-encapsulation pass):
-// the rest of the repo consumes classifications, it does not invent them.
-func NewWindowEvent(kind WindowEventKind, seq int, detail string) WindowEvent {
-	return WindowEvent{Kind: kind, Seq: seq, Detail: detail}
-}
-
 // happensBefore reports whether a is ordered before b: program order on the
 // native thread; concurrent events are unordered with everything.
 func happensBefore(a, b WindowEvent) bool {
@@ -117,9 +110,9 @@ type TemporalFinding struct {
 	Events []WindowEvent `json:"events,omitempty"`
 }
 
-// NewTemporalFinding builds a finding. Like NewWindowEvent, construction is
-// encapsulated in internal/analysis; consumers only read findings.
-func NewTemporalFinding(class WindowClass, pc int, native, reason string) TemporalFinding {
+// newTemporalFinding builds a finding. Only the temporal effect domain
+// derives findings; consumers read them off the ScreenVerdict.
+func newTemporalFinding(class WindowClass, pc int, native, reason string) TemporalFinding {
 	return TemporalFinding{Class: class, PC: pc, Native: native, Reason: reason}
 }
 
@@ -402,7 +395,7 @@ func temporalSite(pc int, slot int64, r refState, name string, sum NativeSummary
 	if class == WindowClean {
 		return TemporalFinding{}, false
 	}
-	f := NewTemporalFinding(class, pc, name, reason)
+	f := newTemporalFinding(class, pc, name, reason)
 	f.Chain = buildTemporalChain(pc, slot, r, name, sum, class, reason)
 	place := jni.PlaceAtRelease
 	if class == WindowRisk || class == WindowScanRace {

@@ -30,10 +30,10 @@ type bruteForce struct {
 	retry      bool
 }
 
-// NewBruteForceAttack returns a tag brute-forcing strategy. sequential
+// newBruteForceAttack returns a tag brute-forcing strategy. sequential
 // selects the in-order 0..15 sweep over uniform random guessing; retry
 // selects the learning attacker that replays a surviving tag.
-func NewBruteForceAttack(sequential, retry bool) Attack {
+func newBruteForceAttack(sequential, retry bool) Attack {
 	name := "bruteforce/"
 	if sequential {
 		name += "seq"

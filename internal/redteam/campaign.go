@@ -34,16 +34,16 @@ type Config struct {
 // guarded-copy blind-spot exploits.
 func Corpus() []Attack {
 	return []Attack{
-		NewBruteForceAttack(true, false),
-		NewBruteForceAttack(false, false),
-		NewBruteForceAttack(true, true),
-		NewBruteForceAttack(false, true),
-		NewAsyncWindowAttack(4),
-		NewGCRaceAttack(),
-		NewOOBReadAttack(),
-		NewFarJumpAttack(),
-		NewLostUpdateAttack(),
-		NewDeferredDetectionAttack(4),
+		newBruteForceAttack(true, false),
+		newBruteForceAttack(false, false),
+		newBruteForceAttack(true, true),
+		newBruteForceAttack(false, true),
+		newAsyncWindowAttack(4),
+		newGCRaceAttack(),
+		newOOBReadAttack(),
+		newFarJumpAttack(),
+		newLostUpdateAttack(),
+		newDeferredDetectionAttack(4),
 	}
 }
 

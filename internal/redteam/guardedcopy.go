@@ -44,8 +44,8 @@ const (
 // trace. MTE checks loads and stores alike.
 type oobRead struct{}
 
-// NewOOBReadAttack returns the out-of-bounds read exploit.
-func NewOOBReadAttack() Attack { return &oobRead{} }
+// newOOBReadAttack returns the out-of-bounds read exploit.
+func newOOBReadAttack() Attack { return &oobRead{} }
 
 func (a *oobRead) Name() string  { return "guardedcopy/oob-read" }
 func (a *oobRead) Class() string { return "guardedcopy" }
@@ -88,8 +88,8 @@ func (a *oobRead) Run(h *Harness) (Trial, error) {
 // distance does not help the attacker.
 type farJump struct{}
 
-// NewFarJumpAttack returns the far out-of-bounds write exploit.
-func NewFarJumpAttack() Attack { return &farJump{} }
+// newFarJumpAttack returns the far out-of-bounds write exploit.
+func newFarJumpAttack() Attack { return &farJump{} }
 
 func (a *farJump) Name() string  { return "guardedcopy/far-jump" }
 func (a *farJump) Class() string { return "guardedcopy" }
@@ -139,8 +139,8 @@ func (a *farJump) Run(h *Harness) (Trial, error) {
 // native works on the real payload, so the managed write survives.
 type lostUpdate struct{}
 
-// NewLostUpdateAttack returns the lost-update copy-back exploit.
-func NewLostUpdateAttack() Attack { return &lostUpdate{} }
+// newLostUpdateAttack returns the lost-update copy-back exploit.
+func newLostUpdateAttack() Attack { return &lostUpdate{} }
 
 func (a *lostUpdate) Name() string  { return "guardedcopy/lost-update" }
 func (a *lostUpdate) Class() string { return "guardedcopy" }
@@ -208,9 +208,9 @@ type deferredDetection struct {
 	damageOps int
 }
 
-// NewDeferredDetectionAttack returns the deferred-detection exploit with
+// newDeferredDetectionAttack returns the deferred-detection exploit with
 // damageOps operations executed between the violation and the release.
-func NewDeferredDetectionAttack(damageOps int) Attack {
+func newDeferredDetectionAttack(damageOps int) Attack {
 	if damageOps <= 0 {
 		damageOps = 4
 	}

@@ -35,10 +35,9 @@
 // check the redteam smoke gate enforces. probe.go exports the single
 // deterministic probe the serving tier's canned "attack" request uses.
 //
-// Encapsulation: attacker program constructors (New*Attack) may exist only
-// in this package — enforced by tools/lintrepo's redteam-encapsulation
-// pass — so every exploit the repo can express is enumerated here, where
-// the campaign measures it.
+// Encapsulation: the attacker constructors (new*Attack) are unexported, so
+// every exploit the repo can express is enumerated here, where the
+// campaign measures it.
 package redteam
 
 import (

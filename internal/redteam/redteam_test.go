@@ -24,7 +24,7 @@ func newTestHarness(t *testing.T, scheme mte4jni.Scheme, seed int64) *Harness {
 func TestBruteForceSequentialExact(t *testing.T) {
 	for _, scheme := range []mte4jni.Scheme{mte4jni.MTESync, mte4jni.MTEAsync} {
 		h := newTestHarness(t, scheme, 42)
-		atk := NewBruteForceAttack(true, false)
+		atk := newBruteForceAttack(true, false)
 		for trial := 0; trial < 8; trial++ {
 			tr, err := atk.Run(h)
 			if err != nil {
@@ -58,7 +58,7 @@ func TestBruteForceSequentialExact(t *testing.T) {
 // survives: every probe after the first success replays the learned tag.
 func TestBruteForceRetryLearns(t *testing.T) {
 	h := newTestHarness(t, mte4jni.MTESync, 7)
-	atk := NewBruteForceAttack(true, true)
+	atk := newBruteForceAttack(true, true)
 	for trial := 0; trial < 8; trial++ {
 		tr, err := atk.Run(h)
 		if err != nil {
@@ -83,7 +83,7 @@ func TestBruteForceRetryLearns(t *testing.T) {
 func TestBruteForceUndetectedWithoutMTE(t *testing.T) {
 	for _, scheme := range []mte4jni.Scheme{mte4jni.NoProtection, mte4jni.GuardedCopy} {
 		h := newTestHarness(t, scheme, 3)
-		tr, err := NewBruteForceAttack(false, false).Run(h)
+		tr, err := newBruteForceAttack(false, false).Run(h)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -97,7 +97,7 @@ func TestBruteForceUndetectedWithoutMTE(t *testing.T) {
 // suppresses the first store at the instruction; async lands every write
 // and reports once at the trampoline exit.
 func TestAsyncWindowDamage(t *testing.T) {
-	atk := NewAsyncWindowAttack(4)
+	atk := newAsyncWindowAttack(4)
 
 	hSync := newTestHarness(t, mte4jni.MTESync, 11)
 	tr, err := atk.Run(hSync)
@@ -125,7 +125,7 @@ func TestAsyncWindowDamage(t *testing.T) {
 // itself must never fault from attacker activity.
 func TestGCRaceDetectionHolds(t *testing.T) {
 	h := newTestHarness(t, mte4jni.MTESync, 23)
-	atk := NewGCRaceAttack()
+	atk := newGCRaceAttack()
 	tr, err := atk.Run(h)
 	if err != nil {
 		t.Fatalf("gc race: %v", err)
@@ -145,7 +145,7 @@ func TestGCRaceDetectionHolds(t *testing.T) {
 func TestGuardedCopyBlindSpots(t *testing.T) {
 	h := newTestHarness(t, mte4jni.GuardedCopy, 31)
 
-	for _, atk := range []Attack{NewOOBReadAttack(), NewFarJumpAttack(), NewLostUpdateAttack()} {
+	for _, atk := range []Attack{newOOBReadAttack(), newFarJumpAttack(), newLostUpdateAttack()} {
 		tr, err := atk.Run(h)
 		if err != nil {
 			t.Fatalf("%s: %v", atk.Name(), err)
@@ -155,7 +155,7 @@ func TestGuardedCopyBlindSpots(t *testing.T) {
 		}
 	}
 
-	tr, err := NewDeferredDetectionAttack(4).Run(h)
+	tr, err := newDeferredDetectionAttack(4).Run(h)
 	if err != nil {
 		t.Fatalf("deferred: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestGuardedCopyBlindSpots(t *testing.T) {
 // first touch.
 func TestBlindSpotExploitsCaughtByMTE(t *testing.T) {
 	h := newTestHarness(t, mte4jni.MTESync, 37)
-	for _, atk := range []Attack{NewOOBReadAttack(), NewFarJumpAttack(), NewDeferredDetectionAttack(4)} {
+	for _, atk := range []Attack{newOOBReadAttack(), newFarJumpAttack(), newDeferredDetectionAttack(4)} {
 		tr, err := atk.Run(h)
 		if err != nil {
 			t.Fatalf("%s: %v", atk.Name(), err)
@@ -182,7 +182,7 @@ func TestBlindSpotExploitsCaughtByMTE(t *testing.T) {
 	}
 	// Lost update is a copy artifact: under MTE there is no copy, so the
 	// managed write survives and the attack simply fails.
-	tr, err := NewLostUpdateAttack().Run(h)
+	tr, err := newLostUpdateAttack().Run(h)
 	if err != nil {
 		t.Fatalf("lost-update: %v", err)
 	}
@@ -200,9 +200,9 @@ func TestCampaignBruteForceModel(t *testing.T) {
 		Tolerance: 0.06,
 		Schemes:   []mte4jni.Scheme{mte4jni.MTESync, mte4jni.MTEAsync},
 		Attacks: []Attack{
-			NewBruteForceAttack(true, false),
-			NewBruteForceAttack(false, false),
-			NewBruteForceAttack(false, true),
+			newBruteForceAttack(true, false),
+			newBruteForceAttack(false, false),
+			newBruteForceAttack(false, true),
 		},
 	})
 	if err != nil {
@@ -235,7 +235,7 @@ func TestCampaignBlindSpotAccounting(t *testing.T) {
 		Trials:  4,
 		Seed:    9,
 		Schemes: []mte4jni.Scheme{mte4jni.GuardedCopy},
-		Attacks: []Attack{NewOOBReadAttack(), NewFarJumpAttack(), NewLostUpdateAttack(), NewDeferredDetectionAttack(4)},
+		Attacks: []Attack{newOOBReadAttack(), newFarJumpAttack(), newLostUpdateAttack(), newDeferredDetectionAttack(4)},
 	})
 	if err != nil {
 		t.Fatalf("campaign: %v", err)

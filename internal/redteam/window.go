@@ -23,9 +23,9 @@ type asyncWindow struct {
 	damageOps int
 }
 
-// NewAsyncWindowAttack returns the async-TCF damage-window exploit with
+// newAsyncWindowAttack returns the async-TCF damage-window exploit with
 // damageOps mutations issued between the fault and its report.
-func NewAsyncWindowAttack(damageOps int) Attack {
+func newAsyncWindowAttack(damageOps int) Attack {
 	if damageOps <= 0 {
 		damageOps = 4
 	}
@@ -98,9 +98,9 @@ func (a *asyncWindow) Run(h *Harness) (Trial, error) {
 // attacker activity must never make the *GC* crash).
 type gcRace struct{}
 
-// NewGCRaceAttack returns the GC-scan-window race: brute-force probing
+// newGCRaceAttack returns the GC-scan-window race: brute-force probing
 // concurrent with ConcurrentScan over the same heap.
-func NewGCRaceAttack() Attack { return &gcRace{} }
+func newGCRaceAttack() Attack { return &gcRace{} }
 
 func (a *gcRace) Name() string  { return "gc-race/scan-window" }
 func (a *gcRace) Class() string { return "gc-race" }

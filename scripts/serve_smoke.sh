@@ -293,6 +293,21 @@ if command -v curl >/dev/null 2>&1; then
 	done
 fi
 
+# Open-loop SLO run on the same sharded daemon: Poisson arrivals at 400 req/s
+# over 8 tenants. The load generator gates on p99 <= 2s from its HDR
+# histogram and writes the JSON report checked below.
+REPORT4="$TMP/report4.json"
+"$BIN" load -url "$URL4" -n 120 -c 8 -rate 400 -tenants 8 -slo-p99 2s -report "$REPORT4"
+
+for want in '"p99_ns"' '"p999_ns"' '"slo_p99_met": true' '"open_loop": true' \
+	'"ok": 120'; do
+	if ! grep -q "$want" "$REPORT4"; then
+		echo "serve-smoke: load report missing $want:" >&2
+		cat "$REPORT4" >&2
+		exit 1
+	fi
+done
+
 # Graceful shutdown runs the per-shard drain assertion: a nonzero lease
 # ledger on any shard turns into a nonzero daemon exit here.
 kill -TERM "$SERVE_PID"
@@ -303,63 +318,13 @@ if ! wait "$SERVE_PID"; then
 fi
 SERVE_PID=""
 
-# --- Cluster: balancer + open-loop SLO run ----------------------------------
-# Two backend daemons (2 shards, 16 sessions each) behind the built-in L7
-# balancer. Open-loop Poisson arrivals at 400 req/s exercise the balancer's
-# affinity routing and /metrics aggregation; the load generator gates on
-# p99 <= 2s from its HDR histogram and writes the JSON report checked below.
-# SIGTERM to the parent must drain the balancer, forward the signal to both
-# backends (each running its own per-shard drain assertion), and exit zero.
-ADDR_FILE5="$TMP/addr5"
-LOG5="$TMP/serve5.log"
-REPORT5="$TMP/report5.json"
-"$BIN" serve -addr 127.0.0.1:0 -addr-file "$ADDR_FILE5" -cluster 2 -shards 2 \
-	-sessions 16 -heap-mb 16 >"$LOG5" 2>&1 &
-SERVE_PID=$!
-
-i=0
-while [ ! -s "$ADDR_FILE5" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 200 ]; then
-		echo "serve-smoke: cluster never published its address" >&2
-		cat "$LOG5" >&2
-		exit 1
-	fi
-	if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-		echo "serve-smoke: cluster exited during startup" >&2
-		cat "$LOG5" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-URL5="http://$(cat "$ADDR_FILE5")"
-
-"$BIN" load -url "$URL5" -n 120 -c 8 -rate 400 -tenants 8 -slo-p99 2s -report "$REPORT5"
-
-for want in '"p99_ns"' '"p999_ns"' '"slo_p99_met": true' '"open_loop": true' \
-	'"ok": 120'; do
-	if ! grep -q "$want" "$REPORT5"; then
-		echo "serve-smoke: load report missing $want:" >&2
-		cat "$REPORT5" >&2
-		exit 1
-	fi
-done
-
-kill -TERM "$SERVE_PID"
-if ! wait "$SERVE_PID"; then
-	echo "serve-smoke: cluster did not shut down cleanly" >&2
-	cat "$LOG5" >&2
-	exit 1
-fi
-SERVE_PID=""
-
 # --- Shard-scaling gate -----------------------------------------------------
 # The pool throughput bench rows (pool/Throughput/shards=N) isolate the
 # admission path. Two gates: unconditionally, 8 shards must never be worse
 # than 2x one shard (the split must not add cost); and when the host has
 # >= 4 CPUs, 8 shards must be at least 2x faster than 1 (the lock split
-# must actually scale). On fewer cores the speedup gate is skipped — shard
-# counts tie when every shard shares one core — and says so.
+# must actually scale). On fewer CPUs the speedup gate stays disarmed and
+# says so.
 BENCH5="$TMP/bench5.json"
 "$BIN" bench -quick -note "serve-smoke shard scaling" -o "$BENCH5"
 row_ns() {
@@ -386,7 +351,7 @@ if [ "${CPUS:-1}" -ge 4 ]; then
 	fi
 	echo "serve-smoke: shard scaling shards=1 $NS1 ns/op -> shards=8 $NS8 ns/op (>=2x gate on $CPUS CPUs)"
 else
-	echo "serve-smoke: shard scaling speedup gate skipped ($CPUS CPU: shards share one core); non-regression held (shards=1 $NS1 ns/op, shards=8 $NS8 ns/op)"
+	echo "serve-smoke: shard scaling >=2x speedup gate skipped (it arms only at >=4 CPUs, this host has $CPUS); non-regression held (shards=1 $NS1 ns/op, shards=8 $NS8 ns/op)"
 fi
 
-echo "serve-smoke: ok (287 + 37 requests, 24 injected faults detected, 18 bad programs screened out, 8 cancels + 4 deadlines reconciled, 267 + 21 guard-free sites with zero proof invalidations, tag residency >=10x under flat, 12 temporal corpus programs flagged with 3 policy rejections, 128 requests reconciled exactly across 8 shards, cluster of 2 drained under the p99 SLO, clean shutdown)"
+echo "serve-smoke: ok (287 + 37 requests, 24 injected faults detected, 18 bad programs screened out, 8 cancels + 4 deadlines reconciled, 267 + 21 guard-free sites with zero proof invalidations, tag residency >=10x under flat, 12 temporal corpus programs flagged with 3 policy rejections, 128 requests reconciled exactly across 8 shards, 120 open-loop requests under the p99 SLO, clean shutdown)"

@@ -34,14 +34,6 @@
 //     internal/mem/tagtable.go; all other code resolves pages through the
 //     page()/canonical() accessors, which uphold the publication and
 //     residency invariants.
-//   - redteam-encapsulation: the New*Attack constructors build unharnessed
-//     exploits and may only be called inside internal/redteam; everything
-//     else consumes the corpus through redteam.Run/Corpus or the serving
-//     tier's ServingProbe, which carry their own harnessing and verdicts.
-//   - temporal-encapsulation: NewTemporalFinding and NewWindowEvent may only
-//     be called inside internal/analysis; a temporal verdict or
-//     happens-before event constructed anywhere else is an unproven
-//     admission claim — consume them through the ScreenVerdict.
 //
 // The tool speaks the cmd/go vet-tool protocol directly (the golang.org/x/
 // tools unitchecker is not vendored here, and the repo is stdlib-only):

@@ -31,9 +31,6 @@ func runPasses(fset *token.FileSet, importPath string, files []*ast.File) []diag
 	diags = append(diags, checkElisionEncapsulation(importPath, files)...)
 	diags = append(diags, checkUnguardedGate(importPath, files)...)
 	diags = append(diags, checkTagTableEncapsulation(fset, importPath, files)...)
-	diags = append(diags, checkRedteamEncapsulation(importPath, files)...)
-	diags = append(diags, checkTemporalEncapsulation(importPath, files)...)
-	diags = append(diags, checkShardEncapsulation(importPath, files)...)
 	return diags
 }
 
@@ -591,151 +588,6 @@ func checkTagTableEncapsulation(fset *token.FileSet, importPath string, files []
 					})
 				}
 			}
-			return true
-		})
-	}
-	return diags
-}
-
-// ---------------------------------------------------------------------------
-// Pass 9: redteam-encapsulation.
-//
-// The attack corpus in internal/redteam is deliberately dangerous code: each
-// New*Attack constructor builds an exploit (forged-tag stores, damage-window
-// races, guarded-copy blind-spot abuse) meant to run only inside the harness,
-// which pins the target, bounds the probe budget, and reduces the outcome to
-// a detection verdict. An attack instantiated elsewhere — a bench spraying
-// forged stores, a handler wiring an exploit into the serving path — would be
-// an unharnessed exploit with no verdict and no telemetry. This pass keeps
-// every New*Attack call inside internal/redteam; everything else consumes
-// attacks through redteam.Corpus(), redteam.Run(), or the serving-tier
-// ServingProbe, which carry their own harnessing.
-
-func checkRedteamEncapsulation(importPath string, files []*ast.File) []diagnostic {
-	if importPath == modulePath+"/internal/redteam" {
-		return nil
-	}
-	isAttackCtor := func(name string) bool {
-		return strings.HasPrefix(name, "New") && strings.HasSuffix(name, "Attack") && len(name) > len("NewAttack")
-	}
-	var diags []diagnostic
-	flag := func(pos token.Pos, name string) {
-		diags = append(diags, diagnostic{
-			pos: pos,
-			msg: fmt.Sprintf("call to %s outside internal/redteam: attack constructors build unharnessed exploits; drive the corpus through redteam.Run/redteam.Corpus (or redteam.ServingProbe in the serving tier) so every probe lands in a harness with a detection verdict", name),
-		})
-	}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch fun := call.Fun.(type) {
-			case *ast.SelectorExpr:
-				if isAttackCtor(fun.Sel.Name) {
-					flag(call.Pos(), fun.Sel.Name)
-				}
-			case *ast.Ident:
-				if isAttackCtor(fun.Name) {
-					flag(call.Pos(), fun.Name)
-				}
-			}
-			return true
-		})
-	}
-	return diags
-}
-
-// ---------------------------------------------------------------------------
-// Pass 10: temporal-encapsulation.
-//
-// A TemporalFinding is an admission verdict — "this call site's critical
-// window is exposed under that checker's placement" — and a WindowEvent is a
-// step in the happens-before trace that justifies it. Both are only
-// meaningful when derived by the temporal effect domain in internal/analysis
-// from a native summary; one minted anywhere else (a handler fabricating a
-// finding to force a 422, a test conjuring events that never happened) is an
-// unproven claim dressed up as analysis output. Same discipline as the
-// elision-mask pass: only the analyzer may construct them, everything else
-// receives them through a ScreenVerdict.
-
-// temporalCtors are the constructors reserved for the temporal effect domain.
-var temporalCtors = map[string]bool{
-	"NewTemporalFinding": true,
-	"NewWindowEvent":     true,
-}
-
-func checkTemporalEncapsulation(importPath string, files []*ast.File) []diagnostic {
-	if importPath == modulePath+"/internal/analysis" {
-		return nil
-	}
-	var diags []diagnostic
-	flag := func(pos token.Pos, name string) {
-		diags = append(diags, diagnostic{
-			pos: pos,
-			msg: fmt.Sprintf("call to %s outside internal/analysis: temporal findings and window events are verdicts only the temporal effect domain may derive; consume them through the ScreenVerdict instead of constructing them", name),
-		})
-	}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch fun := call.Fun.(type) {
-			case *ast.SelectorExpr:
-				if temporalCtors[fun.Sel.Name] {
-					flag(call.Pos(), fun.Sel.Name)
-				}
-			case *ast.Ident:
-				if temporalCtors[fun.Name] {
-					flag(call.Pos(), fun.Name)
-				}
-			}
-			return true
-		})
-	}
-	return diags
-}
-
-// ---------------------------------------------------------------------------
-// Pass 11: shard-encapsulation.
-//
-// An admission shard's internals — its slice of the token semaphore
-// (freeTokens), its parked-Acquire FIFO (waitq) and its per-scheme warm
-// free lists (warmIdle) — are guarded by the shard mutex and tied together
-// by the lease-ledger invariant (sum of shard leases == pool created +
-// reused, exactly). The waiter-grant protocol depends on "absent from
-// waitq implies granted or abandoned" holding under that one lock; a
-// handler or bench reaching for these fields directly could drop a token,
-// double-grant a waiter, or resurrect a retired session past the drain
-// assertion. This pass reserves the three names for internal/pool: any
-// selector expression naming them in another package is flagged, even
-// through a wrapper that re-exposes the shard struct.
-
-// shardInternalFields are the shard fields reserved for internal/pool.
-var shardInternalFields = map[string]bool{
-	"freeTokens": true,
-	"waitq":      true,
-	"warmIdle":   true,
-}
-
-func checkShardEncapsulation(importPath string, files []*ast.File) []diagnostic {
-	if importPath == modulePath+"/internal/pool" {
-		return nil
-	}
-	var diags []diagnostic
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || !shardInternalFields[sel.Sel.Name] {
-				return true
-			}
-			diags = append(diags, diagnostic{
-				pos: sel.Sel.Pos(),
-				msg: fmt.Sprintf("selector .%s reaches into admission-shard internals outside internal/pool: the token semaphore, waiter queue and warm free lists are guarded by the shard mutex and must be driven through Pool methods (AcquireFor/Release/Close) so the lease ledger stays exact", sel.Sel.Name),
-			})
 			return true
 		})
 	}

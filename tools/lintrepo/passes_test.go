@@ -190,35 +190,6 @@ func TestTagTableEncapsulationExemptsTagTableFile(t *testing.T) {
 	}
 }
 
-func TestRedteamEncapsulationPass(t *testing.T) {
-	got := lintFixture(t, "mte4jni/internal/server", "redteam_bad.go")
-	wantDiags(t, got,
-		"call to NewBruteForceAttack outside internal/redteam",
-		"call to NewAsyncWindowAttack outside internal/redteam",
-		"call to NewGCRaceAttack outside internal/redteam",
-	)
-}
-
-// internal/redteam itself — the corpus, the harness, and their tests — may
-// construct attacks freely.
-func TestRedteamEncapsulationAllowsRedteam(t *testing.T) {
-	wantDiags(t, lintFixture(t, "mte4jni/internal/redteam", "redteam_bad.go"))
-}
-
-func TestTemporalEncapsulationPass(t *testing.T) {
-	got := lintFixture(t, "mte4jni/internal/server", "temporal_bad.go")
-	wantDiags(t, got,
-		"call to NewTemporalFinding outside internal/analysis",
-		"call to NewWindowEvent outside internal/analysis",
-		"call to NewWindowEvent outside internal/analysis",
-	)
-}
-
-// The temporal effect domain itself may mint findings and events freely.
-func TestTemporalEncapsulationAllowsAnalysis(t *testing.T) {
-	wantDiags(t, lintFixture(t, "mte4jni/internal/analysis", "temporal_bad.go"))
-}
-
 // TestLintConfigDriver exercises the vet-tool protocol driver end to end on
 // a written vet.cfg: diagnostics rendered as file:line:col, the facts file
 // recorded, and exit-worthy count returned.
@@ -308,18 +279,4 @@ func TestLintConfigTestVariant(t *testing.T) {
 	if n, err := lintConfig(cfgPath, &buf); err != nil || n != 0 {
 		t.Fatalf("test variant: n=%d err=%v out=%q", n, err, buf.String())
 	}
-}
-
-func TestShardEncapsulationPass(t *testing.T) {
-	// Outside internal/pool every shard-internal selector is flagged; the
-	// method-based goodAcquire shape is not.
-	got := lintFixture(t, "mte4jni/internal/server", "shard_bad.go")
-	wantDiags(t, got,
-		"selector .freeTokens reaches into admission-shard internals",
-		"selector .waitq reaches into admission-shard internals",
-		"selector .warmIdle reaches into admission-shard internals",
-	)
-	// internal/pool is where the shard mutex discipline lives: the same
-	// source is clean there.
-	wantDiags(t, lintFixture(t, "mte4jni/internal/pool", "shard_bad.go"))
 }
