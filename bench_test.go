@@ -48,6 +48,23 @@ func BenchmarkFig4Effectiveness(b *testing.B) {
 	}
 }
 
+// BenchmarkNewRuntime measures building and closing one runtime with a
+// 4 MiB heap per scheme: the pool's session-creation cost, paid again for
+// every session a fault quarantines. Its B/op is mostly the simulated memory
+// the scheme maps.
+func BenchmarkNewRuntime(b *testing.B) {
+	for _, scheme := range Schemes() {
+		b.Run(scheme.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := newAndCloseRuntime(scheme); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFig5SingleThread is the §5.3.1 experiment: one native
 // acquire/copy/release of int[n]→int[n] per iteration. Compare ns/op
 // across schemes at fixed n for the paper's ratios.

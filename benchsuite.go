@@ -113,6 +113,16 @@ func runSuiteCase(c suiteCase, target time.Duration) (bench.Result, error) {
 	}
 }
 
+// newAndCloseRuntime builds a runtime the way the pool builds a session, at
+// the serving benchmark's 4 MiB heap, and closes it again.
+func newAndCloseRuntime(scheme Scheme) error {
+	rt, err := New(Config{Scheme: scheme, HeapSize: 4 << 20})
+	if err != nil {
+		return err
+	}
+	return rt.VM().Close()
+}
+
 // suiteCases builds the full suite.
 func suiteCases() []suiteCase {
 	var cases []suiteCase
@@ -155,6 +165,25 @@ func suiteCases() []suiteCase {
 					}
 					return nil
 				}, n * 4, nil
+			},
+		})
+	}
+
+	// Session creation: build and close one runtime with a 4 MiB heap per
+	// iteration, per scheme — what the pool pays for every fresh session,
+	// including each replacement of a quarantined one.
+	for _, scheme := range Schemes() {
+		cases = append(cases, suiteCase{
+			name: "NewRuntime/" + scheme.String(),
+			setup: func() (func(int) error, int64, error) {
+				return func(iters int) error {
+					for i := 0; i < iters; i++ {
+						if err := newAndCloseRuntime(scheme); err != nil {
+							return err
+						}
+					}
+					return nil
+				}, 0, nil
 			},
 		})
 	}

@@ -23,10 +23,10 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8321", "listen address; port 0 binds an ephemeral port")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
-	sessions := fs.Int("sessions", 64, "maximum concurrent VM sessions")
+	sessions := fs.Int("sessions", 64, "maximum concurrently leased VM sessions; warm idle sessions are kept per scheme, so up to sessions x schemes in use stay live")
 	shards := fs.Int("shards", 1, "admission shards the pool is split into ({tenant, scheme}-affine routing with cross-shard work stealing)")
 	waiters := fs.Int("waiters", 0, "maximum queued requests before shedding with 503 (0 = 4x sessions)")
-	heapMB := fs.Int("heap-mb", 32, "per-session Java heap size in MiB")
+	heapMB := fs.Int("heap-mb", 32, "per-session Java heap size in MiB; a session maps this much simulated memory, twice this under guarded copy")
 	seed := fs.Int64("seed", 1, "base tag-RNG seed (session n runs with seed+n)")
 	faultRing := fs.Int("fault-ring", report.DefaultSinkCapacity, "fault records retained for /metrics")
 	acquireTimeout := fs.Duration("acquire-timeout", 5*time.Second, "how long a request may wait for a session")

@@ -88,7 +88,10 @@ func (r *GeekbenchResult) Figure() *bench.Figure {
 // workload against their own thread's env; the measured quantity is the
 // wall-clock time until all copies finish, as on a multi-core score run.
 func geekbenchTime(scheme Scheme, name string, o GeekbenchOptions) (time.Duration, error) {
-	rt, err := New(Config{Scheme: scheme, HeapSize: 512 << 20})
+	// 32 MiB of Java heap per concurrent copy: the largest kernel (HDR)
+	// peaks at ~2.3 MiB at default scale, and guarded copy maps as much
+	// again for its copies.
+	rt, err := New(Config{Scheme: scheme, HeapSize: uint64(o.Cores) * 32 << 20})
 	if err != nil {
 		return 0, err
 	}

@@ -212,12 +212,15 @@ type absState struct {
 }
 
 func (s *absState) clone() *absState {
-	c := &absState{
-		stack:  append([]iv(nil), s.stack...),
-		locals: append([]iv(nil), s.locals...),
-		refs:   append([]refState(nil), s.refs...),
-	}
-	return c
+	return s.copyInto(&absState{})
+}
+
+// copyInto overwrites dst with s, reusing dst's slices, and returns dst.
+func (s *absState) copyInto(dst *absState) *absState {
+	dst.stack = append(dst.stack[:0], s.stack...)
+	dst.locals = append(dst.locals[:0], s.locals...)
+	dst.refs = append(dst.refs[:0], s.refs...)
+	return dst
 }
 
 // joinInto merges src into dst in place. It reports whether dst changed and
@@ -349,7 +352,13 @@ func (a *analyzer) step(pc int, st *absState) stepResult {
 			res.term = termThrow
 			return
 		}
-		res.succs = append(res.succs, edge{to: to, st: st.clone()})
+		// No case changes st after a flow, so the first successor can take
+		// st itself; only a second successor needs its own copy.
+		next := st
+		if len(res.succs) > 0 {
+			next = st.clone()
+		}
+		res.succs = append(res.succs, edge{to: to, st: next})
 	}
 	throw := func() { res.term = termThrow }
 
@@ -630,16 +639,23 @@ func analyzeMethod(m *interp.Method, natives map[string]NativeSummary, file stri
 		clash:  make([]bool, len(m.Code)),
 	}
 
-	// Phase 1: worklist fixpoint over the in-states.
+	// Phase 1: worklist fixpoint over the in-states. step runs on a copy of
+	// the in-state in scratch, which its first successor edge may carry;
+	// an edge state is cloned only when it becomes a new in-state, since
+	// joinInto just reads it.
 	a.states[0] = a.entryState()
 	work := []int{0}
+	scratch := &absState{}
 	for len(work) > 0 {
 		pc := work[0]
 		work = work[1:]
 		a.visits[pc]++
-		out := a.step(pc, a.states[pc].clone())
+		out := a.step(pc, a.states[pc].copyInto(scratch))
 		for _, e := range out.succs {
 			if a.states[e.to] == nil {
+				if e.st == scratch {
+					e.st = scratch.clone()
+				}
 				a.states[e.to] = e.st
 				work = append(work, e.to)
 				continue
@@ -677,7 +693,7 @@ func analyzeMethod(m *interp.Method, natives map[string]NativeSummary, file stri
 			a.emit(pc, RuleStack, SevWarning, "inconsistent operand stack depths merge here")
 			hasClash = true
 		}
-		out := a.step(pc, a.states[pc].clone())
+		out := a.step(pc, a.states[pc].copyInto(scratch))
 		for _, e := range out.succs {
 			succs[pc] = append(succs[pc], e.to)
 		}

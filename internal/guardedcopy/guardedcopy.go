@@ -104,7 +104,9 @@ type record struct {
 	sum uint32
 }
 
-// New creates a guarded-copy checker for v.
+// New creates a guarded-copy checker for v. Its buffers come from
+// v.NativeHeap, so v needs a native allocation space
+// (vm.Options.NativeHeapSize > 0); without one every Acquire fails.
 func New(v *vm.VM) *Checker {
 	return &Checker{vm: v, recs: make(map[mte.Ptr]*record)}
 }
@@ -123,6 +125,9 @@ func fillCanary(dst []byte) {
 // the native heap, fill, copy the payload, and hand out a pointer to the
 // copy.
 func (c *Checker) Acquire(t *vm.Thread, obj *vm.Object, begin, end mte.Addr) (mte.Ptr, error) {
+	if c.vm.NativeHeap == nil {
+		return 0, fmt.Errorf("guardedcopy: VM has no native allocation space (vm.Options.NativeHeapSize is 0)")
+	}
 	size := int(end - begin)
 	bufAddr, err := c.vm.NativeHeap.Alloc(uint64(2*RedZoneSize + size))
 	if err != nil {

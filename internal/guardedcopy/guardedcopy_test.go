@@ -199,3 +199,18 @@ func TestCanaryAt(t *testing.T) {
 		t.Fatal("canary pattern indexing wrong")
 	}
 }
+
+func TestAcquireWithoutNativeSpaceErrors(t *testing.T) {
+	v, err := vm.New(vm.Options{HeapSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := v.AttachThread("native-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, _ := v.NewIntArray(4)
+	if _, err := New(v).Acquire(th, arr, arr.DataBegin(), arr.DataEnd()); err == nil {
+		t.Fatal("Acquire succeeded on a VM without a native space")
+	}
+}

@@ -78,7 +78,7 @@ func TestUTFCharsHeapExhaustion(t *testing.T) {
 }
 
 func TestProtectorRejectsForeignAddress(t *testing.T) {
-	v, err := vm.New(vm.Options{HeapSize: 1 << 20, MTE: true, CheckMode: mte.TCFSync})
+	v, err := vm.New(vm.Options{HeapSize: 1 << 20, NativeHeapSize: 1 << 20, MTE: true, CheckMode: mte.TCFSync})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,10 @@ var (
 
 // Config sizes a Pool.
 type Config struct {
-	// MaxSessions bounds concurrently live sessions across all schemes
-	// (default 64).
+	// MaxSessions bounds concurrently leased sessions across all schemes
+	// (default 64). It does not bound live sessions: released sessions park
+	// warm per scheme and are never evicted, so up to MaxSessions of each
+	// scheme in use stay live — MaxSessions × schemes in all.
 	MaxSessions int
 	// MaxWaiters bounds Acquire calls allowed to queue when every session
 	// slot is leased; further calls fail fast with ErrOverloaded (default
@@ -59,7 +61,11 @@ type Config struct {
 	Shards int
 	// HeapSize is each session's Java heap capacity (default 32 MiB, enough
 	// for every built-in workload at serving scale while keeping 64
-	// sessions' worth of simulated memory modest).
+	// sessions' worth of simulated memory modest). A session maps HeapSize
+	// of simulated memory, 2×HeapSize under guarded copy (see
+	// mte4jni.Config.HeapSize), so with the MaxSessions bound above live
+	// sessions hold at most MaxSessions × HeapSize per scheme in use,
+	// twice that for guarded copy.
 	HeapSize uint64
 	// Seed is the base tag-RNG seed; session n runs with Seed+n so sessions
 	// are mutually decorrelated but a pool run is reproducible (default 1).

@@ -279,3 +279,62 @@ func TestSessionsIntrospection(t *testing.T) {
 	}
 	p.Release(a)
 }
+
+// TestGuardedCopyWorkloadsFitSessionMemory runs every built-in workload at
+// serving scale under guarded copy in a 4 MiB session, the serving
+// benchmark's daemon configuration. A guarded-copy session's native space
+// is only as large as its Java heap, so this pins that the copies of every
+// kernel fit in it.
+func TestGuardedCopyWorkloadsFitSessionMemory(t *testing.T) {
+	p := testPool(t, Config{MaxSessions: 1, HeapSize: 4 << 20})
+	var nativePeak uint64
+	for _, w := range workloads.All(workloads.ScaleSmall) {
+		s, err := p.Acquire(context.Background(), mte4jni.GuardedCopy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := s.RunWorkload(nil, w.Name(), workloads.ScaleSmall, 4)
+		if res.Faulted() || res.Err != nil || res.Ret != 4 {
+			t.Errorf("%s: ret=%d fault=%v err=%v", w.Name(), res.Ret, res.Fault, res.Err)
+		}
+		nativePeak = max(nativePeak, s.Runtime().VM().NativeHeap.Stats().BytesPeak)
+		p.Release(s)
+	}
+	if st := p.Stats(); st.Created != 1 || st.Retired != 0 || st.Quarantined != 0 {
+		t.Fatalf("stats = %+v, want one session recycled through every workload", st)
+	}
+	t.Logf("peak native space use: %d of %d B", nativePeak, 4<<20)
+}
+
+// TestMaxSessionsBoundsLiveSessionsPerScheme pins the real bound on live
+// sessions: MaxSessions caps concurrent leases, but warm idle sessions are
+// parked per scheme and never evicted, so live sessions reach MaxSessions
+// per scheme in use — never more than MaxSessions of any one scheme.
+func TestMaxSessionsBoundsLiveSessionsPerScheme(t *testing.T) {
+	p := testPool(t, Config{MaxSessions: 1, HeapSize: 1 << 20})
+	ctx := context.Background()
+	for round := 0; round < 2; round++ {
+		for _, scheme := range mte4jni.Schemes() {
+			s, err := p.Acquire(ctx, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Release(s)
+		}
+		perScheme := map[string]int{}
+		for _, in := range p.Sessions() {
+			perScheme[in.Scheme]++
+		}
+		if len(perScheme) != 4 {
+			t.Fatalf("round %d: live sessions per scheme = %v, want one for each of 4 schemes", round, perScheme)
+		}
+		for scheme, n := range perScheme {
+			if n > 1 {
+				t.Fatalf("round %d: %d live %s sessions, want at most MaxSessions=1", round, n, scheme)
+			}
+		}
+		if st := p.Stats(); st.Idle != 4 || st.Created != 4 {
+			t.Fatalf("round %d: stats = %+v, want 4 idle, 4 created", round, st)
+		}
+	}
+}

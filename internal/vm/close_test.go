@@ -56,3 +56,24 @@ func TestVMClose(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 }
+
+// A zero NativeHeapSize maps the Java heap alone; Close must cope with the
+// missing native space.
+func TestVMWithoutNativeSpace(t *testing.T) {
+	v, err := New(Options{HeapSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.NativeHeap != nil {
+		t.Fatal("native space mapped with NativeHeapSize 0")
+	}
+	if ms := v.Space.Mappings(); len(ms) != 1 || ms[0] != v.JavaHeap.Mapping() {
+		t.Fatalf("mappings = %v, want only the Java heap", ms)
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !v.JavaHeap.Closed() || len(v.Space.Mappings()) != 0 {
+		t.Fatal("Java heap survived Close")
+	}
+}

@@ -20,8 +20,11 @@ import (
 type Options struct {
 	// HeapSize is the Java heap capacity (default heap.DefaultSize).
 	HeapSize uint64
-	// NativeHeapSize is the capacity of the native allocation space used by
-	// guarded copy buffers and UTF copies (default heap.DefaultSize).
+	// NativeHeapSize is the capacity of the untagged native allocation
+	// space that guarded copy carves its red-zoned buffers from. Zero maps
+	// no native space: NativeHeap stays nil and the VM's simulated memory
+	// is its Java heap alone (HeapSize, page-rounded). A VM with a native
+	// space maps HeapSize + NativeHeapSize.
 	NativeHeapSize uint64
 	// Alignment overrides the Java heap allocation alignment. Zero selects
 	// the paper's values: 16 when MTE is on (§4.1), 8 otherwise (stock ART).
@@ -52,7 +55,8 @@ type VM struct {
 	// JavaHeap is the managed heap (PROT_MTE when Options.MTE).
 	JavaHeap *heap.Heap
 	// NativeHeap is the untagged allocation space used for guarded-copy
-	// buffers and JNI UTF/chars copies, standing in for native malloc.
+	// buffers, standing in for native malloc. Nil when
+	// Options.NativeHeapSize is zero.
 	NativeHeap *heap.Heap
 
 	classes map[uint32]*Class
@@ -75,9 +79,6 @@ type VM struct {
 func New(opts Options) (*VM, error) {
 	if opts.HeapSize == 0 {
 		opts.HeapSize = heap.DefaultSize
-	}
-	if opts.NativeHeapSize == 0 {
-		opts.NativeHeapSize = heap.DefaultSize
 	}
 	if opts.Alignment == 0 {
 		if opts.MTE {
@@ -103,14 +104,17 @@ func New(opts Options) (*VM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vm: creating Java heap: %w", err)
 	}
-	nh, err := heap.New(space, heap.Config{
-		Name:      "native alloc space",
-		Size:      opts.NativeHeapSize,
-		Alignment: 16,
-		MTE:       false,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("vm: creating native heap: %w", err)
+	var nh *heap.Heap
+	if opts.NativeHeapSize > 0 {
+		nh, err = heap.New(space, heap.Config{
+			Name:      "native alloc space",
+			Size:      opts.NativeHeapSize,
+			Alignment: 16,
+			MTE:       false,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("vm: creating native heap: %w", err)
+		}
 	}
 
 	v := &VM{
@@ -130,7 +134,7 @@ func New(opts Options) (*VM, error) {
 }
 
 // Close tears the VM down: it detaches every thread, drops the object,
-// global-reference and class registries, and closes both heaps — which
+// global-reference and class registries, and closes its heaps — which
 // unmaps their spaces and releases TLAB/free-list state — so a retained *VM
 // (a pooled session slot, a test fixture) cannot keep the simulated memory
 // alive. After Close every allocation and heap access fails; Close is
@@ -162,6 +166,9 @@ func (v *VM) Close() error {
 
 	if err := v.JavaHeap.Close(); err != nil {
 		return err
+	}
+	if v.NativeHeap == nil {
+		return nil
 	}
 	return v.NativeHeap.Close()
 }

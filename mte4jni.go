@@ -29,10 +29,12 @@
 package mte4jni
 
 import (
+	"cmp"
 	"fmt"
 
 	"mte4jni/internal/core"
 	"mte4jni/internal/guardedcopy"
+	"mte4jni/internal/heap"
 	"mte4jni/internal/jni"
 	"mte4jni/internal/mte"
 	"mte4jni/internal/vm"
@@ -110,7 +112,10 @@ type Config struct {
 	Locking Locking
 	// HashTables is the k of the two-tier design; 0 means the paper's 16.
 	HashTables int
-	// HeapSize is the Java heap capacity; 0 means 64 MiB.
+	// HeapSize is the Java heap capacity; 0 means 64 MiB. A runtime maps
+	// HeapSize bytes of simulated memory (page-rounded), 2×HeapSize under
+	// GuardedCopy, whose native allocation space for copies is sized to
+	// the heap.
 	HeapSize uint64
 	// HeapAlignment overrides the allocation alignment; 0 selects 16 for
 	// MTE schemes and 8 otherwise, the paper's §4.1 settings. Setting 8
@@ -207,6 +212,12 @@ func New(cfg Config) (*Runtime, error) {
 		Seed:            cfg.Seed,
 	}
 	switch cfg.Scheme {
+	case GuardedCopy:
+		// Guarded copy is the only scheme that copies arrays out of the
+		// Java heap; copies of live arrays never need more than the heap
+		// itself, red zones aside. The other schemes touch the heap in
+		// place and map no native space at all.
+		opts.NativeHeapSize = cmp.Or(cfg.HeapSize, heap.DefaultSize)
 	case MTESync:
 		opts.CheckMode = mte.TCFSync
 	case MTEAsync:

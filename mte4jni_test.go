@@ -50,6 +50,37 @@ func TestRuntimeConstruction(t *testing.T) {
 	}
 }
 
+// TestRuntimeFootprint pins how much simulated memory a runtime maps: its
+// Java heap alone, plus an equal native space under guarded copy, the only
+// scheme that copies arrays out of the heap. An eager native space for the
+// in-place schemes (or one sized apart from the heap) fails here.
+func TestRuntimeFootprint(t *testing.T) {
+	const page = 4096
+	for _, heapSize := range []uint64{4 << 20, 1<<20 + 100} {
+		rounded := (heapSize + page - 1) &^ (page - 1)
+		for _, s := range Schemes() {
+			rt, err := New(Config{Scheme: s, HeapSize: heapSize})
+			if err != nil {
+				t.Fatalf("%v: %v", s, err)
+			}
+			var mapped uint64
+			for _, m := range rt.VM().Space.Mappings() {
+				mapped += m.Size()
+			}
+			want := rounded
+			if s == GuardedCopy {
+				want = 2 * rounded
+			}
+			if mapped != want {
+				t.Errorf("%v, heap %d B: maps %d B, want %d", s, heapSize, mapped, want)
+			}
+			if err := rt.VM().Close(); err != nil {
+				t.Fatalf("%v: close: %v", s, err)
+			}
+		}
+	}
+}
+
 func TestMustNewPanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
