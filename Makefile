@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-repo check bench bench-smoke serve-smoke redteam-smoke temporal-differential servebench-check
+.PHONY: build build-fallback test race vet fmt lint lint-repo check bench bench-smoke serve-smoke redteam-smoke temporal-differential servebench-check
 
 build:
 	$(GO) build ./...
+
+# internal/mem backs simulated memory with anonymous mmap on linux and darwin
+# and with Go-heap slices elsewhere (backing_mmap.go, backing_heap.go).
+# Cross-compiling for windows keeps the non-mmap build compiling.
+build-fallback:
+	GOOS=windows $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -11,6 +17,8 @@ test:
 # TestFig6Shape compares wall-clock global-lock vs two-tier contention, so it
 # runs alone after the parallel sweep: inside `go test -race ./...` the other
 # packages' tests compete for the cores and skew its ratio on small hosts.
+# Race builds back simulated memory with Go-heap slices, which the race
+# detector instruments; plain `go test ./...` runs the mmap backing.
 race:
 	$(GO) test -race -skip '^TestFig6Shape$$' ./...
 	$(GO) test -race -p 1 -run '^TestFig6Shape$$' .
@@ -87,5 +95,5 @@ servebench-check:
 	cd servebench && $(GO) vet ./... && $(GO) test ./...
 
 # Extended tier-1 gate (see ROADMAP.md).
-check: fmt vet lint-repo race lint temporal-differential bench-smoke serve-smoke redteam-smoke servebench-check
+check: fmt vet build-fallback lint-repo race lint temporal-differential bench-smoke serve-smoke redteam-smoke servebench-check
 	@echo "check: ok"

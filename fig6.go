@@ -115,6 +115,31 @@ func fig6Run(v Fig6Variant, sameArray bool, o Fig6Options) (time.Duration, Conte
 // fig6RunConfigured additionally overrides the protector's hash-table count
 // (0 keeps the paper's 16); the hash-table ablation sweeps it.
 func fig6RunConfigured(v Fig6Variant, sameArray bool, o Fig6Options, hashTables int) (time.Duration, Contention, error) {
+	fb, err := newFig6Bench(v, sameArray, o, hashTables)
+	if err != nil {
+		return 0, Contention{}, err
+	}
+	defer fb.close()
+	d := bench.Measure(o.Warmup, o.Reps, fb.run)
+	if err := fb.err(); err != nil {
+		return 0, Contention{}, err
+	}
+	return d, fb.contention(), nil
+}
+
+// fig6Bench is one configuration of the experiment, set up and ready to
+// time: a runtime with its native threads attached and arrays allocated.
+// Each call of run is one timed pass of every thread.
+type fig6Bench struct {
+	v   Fig6Variant
+	rt  *Runtime
+	run func()
+
+	errMu    sync.Mutex
+	firstErr error
+}
+
+func newFig6Bench(v Fig6Variant, sameArray bool, o Fig6Options, hashTables int) (_ *fig6Bench, err error) {
 	rt, err := New(Config{
 		Scheme:     v.Scheme,
 		Locking:    v.Locking,
@@ -122,8 +147,14 @@ func fig6RunConfigured(v Fig6Variant, sameArray bool, o Fig6Options, hashTables 
 		HeapSize:   uint64(64<<20) + uint64(o.Threads*o.ArrayLen*8),
 	})
 	if err != nil {
-		return 0, Contention{}, err
+		return nil, err
 	}
+	fb := &fig6Bench{v: v, rt: rt}
+	defer func() {
+		if err != nil {
+			fb.close()
+		}
+	}()
 
 	// Arrays and environments are created once; the timed section is the
 	// native work itself, as on the device.
@@ -133,36 +164,26 @@ func fig6RunConfigured(v Fig6Variant, sameArray bool, o Fig6Options, hashTables 
 	for i := 0; i < o.Threads; i++ {
 		envs[i], err = rt.AttachEnv(fmt.Sprintf("native-%d", i))
 		if err != nil {
-			return 0, Contention{}, err
+			return nil, err
 		}
 		if sameArray {
 			if shared == nil {
 				shared, err = envs[i].NewIntArray(o.ArrayLen)
 				if err != nil {
-					return 0, Contention{}, err
+					return nil, err
 				}
 			}
 			arrays[i] = shared
 		} else {
 			arrays[i], err = envs[i].NewIntArray(o.ArrayLen)
 			if err != nil {
-				return 0, Contention{}, err
+				return nil, err
 			}
 		}
 	}
 
 	scratchBytes := o.ArrayLen * 4
-	var firstErr error
-	var errMu sync.Mutex
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-
-	run := func() {
+	fb.run = func() {
 		var start, done sync.WaitGroup
 		start.Add(1)
 		done.Add(o.Threads)
@@ -194,53 +215,91 @@ func fig6RunConfigured(v Fig6Variant, sameArray bool, o Fig6Options, hashTables 
 				})
 				_ = sink
 				if fault != nil {
-					setErr(fault)
+					fb.setErr(fault)
 				}
 				if err != nil {
-					setErr(err)
+					fb.setErr(err)
 				}
 			}(i)
 		}
 		start.Done()
 		done.Wait()
 	}
-
-	d := bench.Measure(o.Warmup, o.Reps, run)
-	if firstErr != nil {
-		return 0, Contention{}, fmt.Errorf("fig6 %s: %w", v.Display, firstErr)
-	}
-	var cont Contention
-	if p := rt.Protector(); p != nil {
-		st := p.Stats()
-		cont = Contention{Table: st.TableLockContended, Object: st.ObjectLockContended}
-	}
-	return d, cont, nil
+	return fb, nil
 }
 
-// RunFig6 runs both tests across all configurations and normalizes.
+func (fb *fig6Bench) setErr(err error) {
+	fb.errMu.Lock()
+	if fb.firstErr == nil {
+		fb.firstErr = err
+	}
+	fb.errMu.Unlock()
+}
+
+// err returns the first fault or error any thread hit in any pass.
+func (fb *fig6Bench) err() error {
+	fb.errMu.Lock()
+	defer fb.errMu.Unlock()
+	if fb.firstErr != nil {
+		return fmt.Errorf("fig6 %s: %w", fb.v.Display, fb.firstErr)
+	}
+	return nil
+}
+
+// contention reads the protector's lock statistics accumulated so far.
+func (fb *fig6Bench) contention() Contention {
+	if p := fb.rt.Protector(); p != nil {
+		st := p.Stats()
+		return Contention{Table: st.TableLockContended, Object: st.ObjectLockContended}
+	}
+	return Contention{}
+}
+
+func (fb *fig6Bench) close() { _ = fb.rt.VM().Close() }
+
+// RunFig6 runs both tests across all configurations and normalizes. Every
+// configuration is set up first and the timed passes are interleaved, one
+// pass of each per rep (bench.MeasureInterleaved), so drift in host speed
+// over the run hits all variants alike instead of whichever ran last. On
+// small hosts the global-lock and two-tier variants differ by less than
+// that drift.
 func RunFig6(o Fig6Options) (*Fig6Result, error) {
 	o.defaults()
 	variants := Fig6Variants()
 	res := &Fig6Result{Variants: variants[1:]}
 
-	var baseSame, baseDiff time.Duration
-	for i, v := range variants {
-		same, sameCont, err := fig6Run(v, true, o)
-		if err != nil {
+	// benches[2*i] is variant i on the same array, benches[2*i+1] on
+	// different arrays.
+	var benches []*fig6Bench
+	defer func() {
+		for _, fb := range benches {
+			fb.close()
+		}
+	}()
+	runs := make([]func(), 0, 2*len(variants))
+	for _, v := range variants {
+		for _, same := range []bool{true, false} {
+			fb, err := newFig6Bench(v, same, o, 0)
+			if err != nil {
+				return nil, err
+			}
+			benches = append(benches, fb)
+			runs = append(runs, fb.run)
+		}
+	}
+	ds := bench.MeasureInterleaved(o.Warmup, o.Reps, runs)
+	for _, fb := range benches {
+		if err := fb.err(); err != nil {
 			return nil, err
 		}
-		diff, diffCont, err := fig6Run(v, false, o)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			baseSame, baseDiff = same, diff
-			continue
-		}
+	}
+	baseSame, baseDiff := ds[0], ds[1]
+	for i := 1; i < len(variants); i++ {
+		same, diff := ds[2*i], ds[2*i+1]
 		res.SameArray = append(res.SameArray, float64(same)/float64(baseSame))
 		res.DifferentArrays = append(res.DifferentArrays, float64(diff)/float64(baseDiff))
-		res.SameArrayContention = append(res.SameArrayContention, sameCont)
-		res.DifferentArraysContention = append(res.DifferentArraysContention, diffCont)
+		res.SameArrayContention = append(res.SameArrayContention, benches[2*i].contention())
+		res.DifferentArraysContention = append(res.DifferentArraysContention, benches[2*i+1].contention())
 	}
 	return res, nil
 }

@@ -106,35 +106,44 @@ func (el *Elision) ValidateBinding(p *Program) error {
 }
 
 // programDigest hashes the canonical program text: method layout, every
-// instruction, and the native summaries sorted by name. The text is built
-// with strconv appends into one buffer rather than per-line Fprintf — the
-// digest seals every screened program (compileElision runs on every
-// Analyze) and rendering was the hottest part of a cold screen. The byte
-// stream is unchanged: %q is strconv.AppendQuote, %d/%t are AppendInt and
-// AppendBool.
+// instruction, and the native summaries sorted by name. Each line is
+// rendered with strconv appends into one small reused buffer and streamed
+// into the hasher, so the cost does not grow with a buffer for the whole
+// text: the digest seals every screened program (compileElision) and is
+// recomputed on every admitted run (ValidateBinding). The byte stream is
+// the original Fprintf format: %q is strconv.AppendQuote, %d/%t are
+// AppendInt and AppendBool. TestProgramDigestGolden pins it.
 func programDigest(p *Program) [sha256.Size]byte {
-	buf := make([]byte, 0, 64*(1+len(p.Method.NativeNames)+len(p.Method.Code)+len(p.Natives)))
-	buf = append(buf, "method "...)
-	buf = strconv.AppendQuote(buf, p.Method.Name)
-	buf = append(buf, " locals="...)
-	buf = strconv.AppendInt(buf, int64(p.Method.MaxLocals), 10)
-	buf = append(buf, " refs="...)
-	buf = strconv.AppendInt(buf, int64(p.Method.MaxRefs), 10)
-	buf = append(buf, '\n')
+	h := sha256.New()
+	line := make([]byte, 0, 128)
+	emit := func() {
+		h.Write(line)
+		line = line[:0]
+	}
+	line = append(line, "method "...)
+	line = strconv.AppendQuote(line, p.Method.Name)
+	line = append(line, " locals="...)
+	line = strconv.AppendInt(line, int64(p.Method.MaxLocals), 10)
+	line = append(line, " refs="...)
+	line = strconv.AppendInt(line, int64(p.Method.MaxRefs), 10)
+	line = append(line, '\n')
+	emit()
 	for _, name := range p.Method.NativeNames {
-		buf = append(buf, "link "...)
-		buf = strconv.AppendQuote(buf, name)
-		buf = append(buf, '\n')
+		line = append(line, "link "...)
+		line = strconv.AppendQuote(line, name)
+		line = append(line, '\n')
+		emit()
 	}
 	for pc, in := range p.Method.Code {
-		buf = strconv.AppendInt(buf, int64(pc), 10)
-		buf = append(buf, ':', ' ')
-		buf = strconv.AppendInt(buf, int64(in.Op), 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, in.A, 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, in.B, 10)
-		buf = append(buf, '\n')
+		line = strconv.AppendInt(line, int64(pc), 10)
+		line = append(line, ':', ' ')
+		line = strconv.AppendInt(line, int64(in.Op), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, in.A, 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, in.B, 10)
+		line = append(line, '\n')
+		emit()
 	}
 	names := make([]string, 0, len(p.Natives))
 	for name := range p.Natives {
@@ -143,29 +152,32 @@ func programDigest(p *Program) [sha256.Size]byte {
 	sort.Strings(names)
 	for _, name := range names {
 		s := p.Natives[name]
-		buf = append(buf, "native "...)
-		buf = strconv.AppendQuote(buf, name)
-		buf = append(buf, " kind="...)
-		buf = strconv.AppendInt(buf, int64(s.Kind), 10)
-		buf = append(buf, " off=["...)
-		buf = strconv.AppendInt(buf, s.MinOff, 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, s.MaxOff, 10)
-		buf = append(buf, "] w="...)
-		buf = strconv.AppendBool(buf, s.Write)
-		buf = append(buf, " uar="...)
-		buf = strconv.AppendBool(buf, s.UseAfterRelease)
-		buf = append(buf, " forge="...)
-		buf = strconv.AppendBool(buf, s.ForgeTag)
-		buf = append(buf, " dmg="...)
-		buf = strconv.AppendInt(buf, int64(s.DamageOps), 10)
-		buf = append(buf, " scan="...)
-		buf = strconv.AppendBool(buf, s.ConcurrentScan)
-		buf = append(buf, " race="...)
-		buf = strconv.AppendBool(buf, s.ManagedRace)
-		buf = append(buf, '\n')
+		line = append(line, "native "...)
+		line = strconv.AppendQuote(line, name)
+		line = append(line, " kind="...)
+		line = strconv.AppendInt(line, int64(s.Kind), 10)
+		line = append(line, " off=["...)
+		line = strconv.AppendInt(line, s.MinOff, 10)
+		line = append(line, ',')
+		line = strconv.AppendInt(line, s.MaxOff, 10)
+		line = append(line, "] w="...)
+		line = strconv.AppendBool(line, s.Write)
+		line = append(line, " uar="...)
+		line = strconv.AppendBool(line, s.UseAfterRelease)
+		line = append(line, " forge="...)
+		line = strconv.AppendBool(line, s.ForgeTag)
+		line = append(line, " dmg="...)
+		line = strconv.AppendInt(line, int64(s.DamageOps), 10)
+		line = append(line, " scan="...)
+		line = strconv.AppendBool(line, s.ConcurrentScan)
+		line = append(line, " race="...)
+		line = strconv.AppendBool(line, s.ManagedRace)
+		line = append(line, '\n')
+		emit()
 	}
-	return sha256.Sum256(buf)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // compileElision seals the reporting phase's elided PCs and proofs into an

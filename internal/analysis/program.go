@@ -109,6 +109,7 @@ func ParseProgram(data []byte) (*Program, error) {
 		MaxLocals:   pj.Method.MaxLocals,
 		MaxRefs:     pj.Method.MaxRefs,
 		NativeNames: pj.Method.NativeNames,
+		Code:        make([]interp.Inst, 0, len(pj.Method.Code)),
 	}
 	if m.Name == "" {
 		m.Name = "main"

@@ -33,6 +33,35 @@ func Measure(warmup, reps int, fn func()) time.Duration {
 	return Median(samples)
 }
 
+// MeasureInterleaved times several functions against each other: warmup
+// unrecorded rounds, then reps recorded rounds, each round calling every fn
+// once in order. It returns each fn's median duration. Interleaving puts
+// every fn under the same host conditions, where timing each in its own
+// Measure block lets drift in host speed between blocks bias the ratios.
+func MeasureInterleaved(warmup, reps int, fns []func()) []time.Duration {
+	for i := 0; i < warmup; i++ {
+		for _, fn := range fns {
+			fn()
+		}
+	}
+	if reps < 1 {
+		reps = 1
+	}
+	samples := make([][]time.Duration, len(fns))
+	for r := 0; r < reps; r++ {
+		for i, fn := range fns {
+			start := time.Now()
+			fn()
+			samples[i] = append(samples[i], time.Since(start))
+		}
+	}
+	out := make([]time.Duration, len(fns))
+	for i := range fns {
+		out[i] = Median(samples[i])
+	}
+	return out
+}
+
 // Median returns the median of samples (which it sorts in place).
 func Median(samples []time.Duration) time.Duration {
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"mte4jni/internal/analysis"
 	"mte4jni/internal/core"
@@ -402,6 +403,9 @@ func DifferentialElidedEngines(seed int64, steps int, mode mte.CheckMode) error 
 		if !bytes.Equal(ba, bb) || !bytes.Equal(bc, ba) {
 			return fmt.Errorf("final sweep: mapping %q contents diverged", ma.Name())
 		}
+		runtime.KeepAlive(ma) // the byte slices point into the mappings
+		runtime.KeepAlive(mb)
+		runtime.KeepAlive(mc)
 		for a := ma.Base(); a < ma.End(); a += mte.GranuleSize {
 			if ma.TagAt(a) != mb.TagAt(a) || mc.TagAt(a) != ma.TagAt(a) {
 				return fmt.Errorf("final sweep: mapping %q tag at %v diverged", ma.Name(), a)

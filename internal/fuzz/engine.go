@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"mte4jni/internal/cpu"
 	"mte4jni/internal/mem"
@@ -317,6 +318,8 @@ func DifferentialEngines(seed int64, steps int, mode mte.CheckMode) error {
 		if !bytes.Equal(ba, bb) {
 			return fmt.Errorf("final sweep: mapping %q contents diverged", ma.Name())
 		}
+		runtime.KeepAlive(ma) // the byte slices point into the mappings
+		runtime.KeepAlive(mb)
 		for a := ma.Base(); a < ma.End(); a += mte.GranuleSize {
 			if ma.TagAt(a) != mb.TagAt(a) {
 				return fmt.Errorf("final sweep: mapping %q tag at %v diverged (%v vs %v)",

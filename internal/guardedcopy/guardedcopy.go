@@ -22,6 +22,7 @@ package guardedcopy
 import (
 	"fmt"
 	"hash/adler32"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -147,9 +148,13 @@ func (c *Checker) Acquire(t *vm.Thread, obj *vm.Object, begin, end mte.Addr) (mt
 	}
 	copy(buf[RedZoneSize:RedZoneSize+size], src)
 
+	sum := adler32.Checksum(src)
+	// buf and src point into the VM's mappings (mem.Mapping.Bytes).
+	runtime.KeepAlive(c.vm)
+
 	p := mte.MakePtr(bufAddr+RedZoneSize, 0)
 	c.mu.Lock()
-	c.recs[p] = &record{obj: obj, bufAddr: bufAddr, size: size, sum: adler32.Checksum(src)}
+	c.recs[p] = &record{obj: obj, bufAddr: bufAddr, size: size, sum: sum}
 	c.mu.Unlock()
 
 	c.copies.Add(1)
@@ -213,6 +218,8 @@ func (c *Checker) Release(t *vm.Thread, obj *vm.Object, p mte.Ptr, begin, end mt
 		copy(dst, buf[RedZoneSize:RedZoneSize+rec.size])
 		c.bytesCopied.Add(int64(rec.size))
 	}
+	// buf and dst point into the VM's mappings (mem.Mapping.Bytes).
+	runtime.KeepAlive(c.vm)
 
 	if mode != jni.JNICommit {
 		if err := c.vm.NativeHeap.Free(rec.bufAddr); err != nil {

@@ -37,6 +37,7 @@ package heap
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -259,6 +260,7 @@ func (h *Heap) Alloc(size uint64) (mte.Addr, error) {
 	for i := range zero {
 		zero[i] = 0
 	}
+	runtime.KeepAlive(h) // zero points into h's mapping (mem.Mapping.Bytes)
 	return addr, nil
 }
 

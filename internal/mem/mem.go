@@ -18,6 +18,7 @@ package mem
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -73,7 +74,12 @@ type Mapping struct {
 	base mte.Addr
 	prot Prot
 	name string
+	// data is the mapping's bytes, owner.b until Unmap. The access engines
+	// index it directly.
 	data []byte
+	// owner holds the backing memory and returns it when the mapping is
+	// unmapped or becomes unreachable; see backing.
+	owner *backing
 	// tags is the mapping's hierarchical tag table when the mapping is
 	// ProtMTE; nil otherwise. See tagtable.go for the two-level layout
 	// (directory of canonical uniform pages and materialized private
@@ -240,12 +246,51 @@ func (m *Mapping) WriteRaw(addr mte.Addr, src []byte) error {
 
 // Bytes returns the raw backing slice for [addr, addr+size), bypassing all
 // checking. Intended for runtime internals and tests only.
+//
+// The slice does not keep the mapping alive. Outside race builds it points
+// into an anonymous mmap region that is released when the mapping is
+// unmapped or garbage collected, after which any access through the slice
+// faults the process. A caller must therefore keep m, or an owner of it such
+// as its heap or VM, reachable for as long as it uses the slice (ending with
+// runtime.KeepAlive when nothing else uses the owner afterwards), and must
+// not use the slice after Unmap.
 func (m *Mapping) Bytes(addr mte.Addr, size int) ([]byte, error) {
 	if !m.contains(addr, size) {
 		return nil, fmt.Errorf("mem: Bytes [%v,+%d) outside mapping %q", addr, size, m.name)
 	}
 	off := addr - m.base
 	return m.data[off : off+mte.Addr(size) : off+mte.Addr(size)], nil
+}
+
+// backing owns the memory behind one mapping (backing_mmap.go,
+// backing_heap.go). The finalizer sits here rather than on the Mapping
+// because a tagged Mapping is part of a cycle (Mapping -> tagTable -> Space
+// -> snapshot -> Mapping), and the runtime never finalizes an object that is
+// reachable from itself. backing holds no pointer into the Go heap outside
+// race builds, so it becomes unreachable exactly when its Mapping does.
+type backing struct{ b []byte }
+
+// liveBackingBytes counts the bytes held by live backings. Tests read it to
+// check that mappings which are never unmapped are still released.
+var liveBackingBytes atomic.Int64
+
+func newBacking(n int) (*backing, error) {
+	b, err := mapBacking(n)
+	if err != nil {
+		return nil, err
+	}
+	liveBackingBytes.Add(int64(n))
+	bk := &backing{b: b}
+	runtime.SetFinalizer(bk, (*backing).free)
+	return bk, nil
+}
+
+// free releases the memory. It runs once: from Unmap, which clears the
+// finalizer first, or from the finalizer of a never-unmapped mapping.
+func (bk *backing) free() {
+	liveBackingBytes.Add(-int64(len(bk.b)))
+	unmapBacking(bk.b)
+	bk.b = nil
 }
 
 // Space is a simulated process address space: an ordered set of mappings.
@@ -301,18 +346,27 @@ func (s *Space) Epoch() uint64 { return s.epoch.Load() }
 // the given protection and returns it. Placement is linear with a guard gap
 // after each mapping, so the snapshot stays sorted by base address — the
 // property the Resolve binary search depends on.
+//
+// The mapping reads as zero. Outside race builds its bytes are a demand-zero
+// anonymous mmap region, so only the pages a session touches cost memory.
+// A mapping that is never unmapped is released when it becomes unreachable.
 func (s *Space) Map(name string, size uint64, prot Prot) (*Mapping, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("mem: Map %q: zero size", name)
 	}
 	rounded := (size + pageSize - 1) &^ (pageSize - 1)
+	owner, err := newBacking(int(rounded))
+	if err != nil {
+		return nil, fmt.Errorf("mem: Map %q: %w", name, err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := &Mapping{
-		base: s.nextBase,
-		prot: prot,
-		name: name,
-		data: make([]byte, rounded),
+		base:  s.nextBase,
+		prot:  prot,
+		name:  name,
+		data:  owner.b,
+		owner: owner,
 	}
 	if prot&ProtMTE != 0 {
 		// Lazy hierarchical tag storage: every page starts deduplicated
@@ -344,9 +398,11 @@ func (s *Space) Map(name string, size uint64, prot Prot) (*Mapping, error) {
 // Like Map, publication order is snapshot first, epoch second. Unlike Map a
 // stale TLB entry here could be a *wrong hit*, not just a miss, so Unmap
 // requires quiescence: no thread may be concurrently accessing the mapping
-// when it is unmapped. The VM teardown path (heap.Close via vm.Close) is the
-// only caller and owns that guarantee — a pooled VM is closed only while
-// exclusively leased.
+// when it is unmapped. The data bytes go back to the kernel at once, so an
+// access that breaks this rule, or a slice from Bytes used afterwards,
+// faults the process instead of touching orphaned memory. The VM teardown
+// path (heap.Close via vm.Close) is the only caller and owns that guarantee
+// — a pooled VM is closed only while exclusively leased.
 func (s *Space) Unmap(m *Mapping) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -374,6 +430,9 @@ func (s *Space) Unmap(m *Mapping) error {
 	}
 	m.data = nil
 	m.tags = nil
+	runtime.SetFinalizer(m.owner, nil)
+	m.owner.free()
+	m.owner = nil
 	return nil
 }
 

@@ -163,6 +163,8 @@ func (o *Object) GetInt(i int) (int32, error) {
 }
 
 // Bytes returns the raw payload bytes of the object (runtime-internal view).
+// The slice does not keep the VM alive: the caller must keep o or its VM
+// reachable while it uses the slice (see mem.Mapping.Bytes).
 func (o *Object) Bytes() ([]byte, error) {
 	return o.vm.JavaHeap.Mapping().Bytes(o.DataBegin(), o.DataSize())
 }

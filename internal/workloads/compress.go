@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"sync"
 
 	"mte4jni/internal/jni"
 	"mte4jni/internal/vm"
@@ -54,12 +55,15 @@ func (w *FileCompression) Setup(env *jni.Env) error {
 	return nil
 }
 
+// lz77Heads recycles lz77Compress's hash-head tables across runs.
+var lz77Heads = sync.Pool{New: func() any { return make(map[uint32]int) }}
+
 // lz77Compress compresses src with a hash-chained LZ77 and returns the
 // output length.
 func lz77Compress(src []byte) int {
 	const window = 4096
 	const minMatch = 4
-	head := make(map[uint32]int, len(src)/4)
+	head := lz77Heads.Get().(map[uint32]int)
 	outLen := 0
 	hash := func(i int) uint32 {
 		return uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16 | uint32(src[i+3])<<24
@@ -85,6 +89,8 @@ func lz77Compress(src []byte) int {
 		i++
 	}
 	outLen += len(src) - i
+	clear(head)
+	lz77Heads.Put(head)
 	return outLen
 }
 

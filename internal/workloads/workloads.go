@@ -20,6 +20,7 @@ package workloads
 
 import (
 	"fmt"
+	"sync"
 
 	"mte4jni/internal/jni"
 	"mte4jni/internal/mte"
@@ -145,6 +146,24 @@ func publishBytes(env *jni.Env, arr *vm.Object, data []byte) error {
 	return env.ReleaseByteArrayElements(arr, p, jni.ReleaseDefault)
 }
 
+// rawInts recycles the little-endian staging buffers of acquireInts and
+// publishInts, which the int-array kernels call on every run.
+var rawInts sync.Pool
+
+// getRawInts returns a pooled buffer of n bytes; return it with
+// rawInts.Put once its contents are consumed.
+func getRawInts(n int) *[]byte {
+	bp, _ := rawInts.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
 // acquireInts bulk-copies a Java int[] into native memory.
 func acquireInts(env *jni.Env, arr *vm.Object) ([]int32, error) {
 	if err := checkpoint(env); err != nil {
@@ -154,7 +173,8 @@ func acquireInts(env *jni.Env, arr *vm.Object) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw := make([]byte, arr.Len()*4)
+	bp := getRawInts(arr.Len() * 4)
+	raw := *bp
 	env.CopyToNative(raw, p)
 	if err := env.ReleaseIntArrayElements(arr, p, jni.JNIAbort); err != nil {
 		return nil, err
@@ -163,6 +183,7 @@ func acquireInts(env *jni.Env, arr *vm.Object) ([]int32, error) {
 	for i := range out {
 		out[i] = int32(uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 | uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24)
 	}
+	rawInts.Put(bp)
 	return out, nil
 }
 
@@ -171,7 +192,8 @@ func publishInts(env *jni.Env, arr *vm.Object, data []int32) error {
 	if err := checkpoint(env); err != nil {
 		return err
 	}
-	raw := make([]byte, len(data)*4)
+	bp := getRawInts(len(data) * 4)
+	raw := *bp
 	for i, v := range data {
 		u := uint32(v)
 		raw[4*i], raw[4*i+1], raw[4*i+2], raw[4*i+3] = byte(u), byte(u>>8), byte(u>>16), byte(u>>24)
@@ -181,6 +203,7 @@ func publishInts(env *jni.Env, arr *vm.Object, data []int32) error {
 		return err
 	}
 	env.CopyFromNative(p, raw)
+	rawInts.Put(bp)
 	return env.ReleaseIntArrayElements(arr, p, jni.ReleaseDefault)
 }
 
