@@ -52,13 +52,16 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Quick perf sanity: the paper's Figure 5/6 benchmarks, the elided-vs-
-# checked proof-carrying pair and per-scheme session creation (NewRuntime,
-# with its B/op) at -benchtime=10x, and the zero-allocation
-# guards on the fault-free checked path, the guard-free elided path, and the
-# TLAB hit path. Catches perf-path regressions (fast path falling off,
-# allocations creeping in) in seconds rather than validating absolute numbers.
+# checked proof-carrying pair, per-scheme session creation (NewRuntime and
+# NewRuntimeFirstArray, with their B/op) and one served kernels request
+# (KernelRequest: lease, RunWorkload, release) at -benchtime=10x, and the
+# zero-allocation guards on the fault-free checked path, the guard-free
+# elided path, and the TLAB hit path. Catches perf-path regressions (fast
+# path falling off, allocations creeping in) in seconds rather than
+# validating absolute numbers.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5SingleThread|BenchmarkFig5Elision|BenchmarkFig6MultiThread|BenchmarkNewRuntime' -benchtime=10x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelRequest' -benchtime=10x -benchmem ./internal/pool
 	$(GO) test -run 'TestCheckedAccessAllocs|TestUnguardedAccessAllocs' ./internal/mem
 	$(GO) test -run 'TestElidedDispatchAllocs' ./internal/interp
 	$(GO) test -run 'TestAllocTLABHitAllocs' ./internal/heap

@@ -65,6 +65,30 @@ func BenchmarkNewRuntime(b *testing.B) {
 	}
 }
 
+// BenchmarkNewRuntimeFirstArray is BenchmarkNewRuntime plus one int[16]
+// allocation before the close: the smallest session a request uses. Its
+// B/op over BenchmarkNewRuntime's is what a session's first Java object
+// costs in allocator bookkeeping.
+func BenchmarkNewRuntimeFirstArray(b *testing.B) {
+	for _, scheme := range Schemes() {
+		b.Run(scheme.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rt, err := New(Config{Scheme: scheme, HeapSize: 4 << 20})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rt.VM().NewIntArray(16); err != nil {
+					b.Fatal(err)
+				}
+				if err := rt.VM().Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFig5SingleThread is the §5.3.1 experiment: one native
 // acquire/copy/release of int[n]→int[n] per iteration. Compare ns/op
 // across schemes at fixed n for the paper's ratios.

@@ -16,13 +16,14 @@
 //   - Small requests (≤ maxTLABAlloc) are bump-allocated from per-thread
 //     TLABs carved out of the central region, so the common path takes no
 //     global lock and performs zero Go allocations (pinned by
-//     TestAllocTLABHitAllocs).
+//     TestAllocTLABHitAllocs) — apart from the 4 KiB liveness-registry chunk
+//     the first block starting in each chunk's range allocates.
 //   - Recycled blocks live on size-class free lists sharded across
 //     numShards locks; a free list hit is always preferred over fresh bump
 //     space, and reuse is LIFO per class.
 //   - Liveness is tracked in a chunked units table (one uint32 per
 //     alignment unit, nonzero at each live block's start; chunks allocated
-//     lazily as the bump cursor advances), giving lock-free SizeOf and
+//     lazily when the first block starts in them), giving lock-free SizeOf and
 //     atomic double-free detection without a registry map on the
 //     allocation path.
 //   - Stats are plain atomics; the peak is maintained with a CAS-max.
@@ -90,14 +91,15 @@ type Heap struct {
 	// units cap a single block at 2^32-1 align units — far beyond any heap
 	// this simulation configures.)
 	//
-	// The registry is a two-level table: a small eager array of chunk
-	// pointers, with 64 KiB chunks allocated on demand as the bump cursor
-	// advances (under carveMu). Sizing the table to the heap up front would
-	// cost size/align × 4 bytes per heap — benchmarks and workloads that
-	// build a runtime per iteration turned that into tens of megabytes of
-	// allocation traffic per run. Chunks are never moved or freed once
-	// published, so lock-free atomic element access stays sound.
-	units []atomic.Pointer[unitChunk]
+	// The registry is a three-level table: a small eager array of directory
+	// pointers (8 B per MiB of heap at 16-byte alignment), with 512 B
+	// directories and 4 KiB chunks allocated when the first block starts in
+	// their range (see setLive). Sizing the table to the heap up front would
+	// cost size/align × 4 bytes per heap, and even 64 KiB chunks made the
+	// registry most of what a short-lived session allocates. Directories and
+	// chunks are never moved or freed once published, so lock-free atomic
+	// element access stays sound.
+	units []atomic.Pointer[unitDir]
 
 	// carveMu guards the central bump cursor. It is taken once per TLAB
 	// refill or large allocation, not per small allocation.
@@ -151,7 +153,8 @@ func New(space *mem.Space, cfg Config) (*Heap, error) {
 		space:   space,
 	}
 	totalUnits := m.Size() >> h.shift
-	h.units = make([]atomic.Pointer[unitChunk], (totalUnits+chunkUnits-1)>>unitChunkShift)
+	const dirUnits = chunkUnits * dirChunks
+	h.units = make([]atomic.Pointer[unitDir], (totalUnits+dirUnits-1)/dirUnits)
 	for i := range h.shards {
 		h.shards[i].free = make(map[uint64][]mte.Addr)
 	}

@@ -35,17 +35,27 @@ const (
 	// the same lock. Must be a power of two.
 	numShards = 16
 
-	// unitChunkShift sizes the units-registry chunks: 2^14 entries = 64 KiB
-	// per chunk, covering 256 KiB of heap at 16-byte alignment. Chunks are
-	// allocated on demand as the bump cursor first reaches their range.
-	unitChunkShift = 14
+	// unitChunkShift sizes the units registry's leaf chunks: 2^10 entries
+	// = 4 KiB per chunk, covering 16 KiB of heap at 16-byte alignment.
+	unitChunkShift = 10
 	chunkUnits     = 1 << unitChunkShift
+
+	// unitDirShift sizes the registry's directories: 2^6 chunk pointers =
+	// 512 B per directory, covering 1 MiB of heap at 16-byte alignment.
+	unitDirShift = 6
+	dirChunks    = 1 << unitDirShift
 )
 
-// unitChunk is one lazily-allocated block of the units registry. Once a
-// chunk pointer is published it never changes, so entries can be accessed
-// with plain element atomics.
-type unitChunk [chunkUnits]uint32
+// unitChunk is one lazily-allocated block of the units registry, and
+// unitDir one lazily-allocated directory of chunks. A directory or chunk
+// is published the first time a block starts inside its range and never
+// changes afterwards, so entries can be accessed with plain element
+// atomics. A session whose heap holds one small object pays one
+// directory and one chunk, about 4.5 KiB, plus the top-level array.
+type (
+	unitChunk [chunkUnits]uint32
+	unitDir   [dirChunks]atomic.Pointer[unitChunk]
+)
 
 // tlab is one thread-local allocation buffer: a [cur, end) slice of the
 // central bump region. A tlab is owned exclusively by whichever goroutine
@@ -150,17 +160,6 @@ func (h *Heap) carve(min, want uint64) (mte.Addr, uint64, bool) {
 	}
 	addr := h.cursor
 	h.cursor += mte.Addr(want)
-	// Publish registry chunks covering the carved range before releasing the
-	// lock: every block start handed out by the allocator lies inside some
-	// carved range, so setLive/liveSize never see a missing chunk for a
-	// legitimate address.
-	first := uint64(addr-h.mapping.Base()) >> h.shift >> unitChunkShift
-	last := (uint64(h.cursor-h.mapping.Base()-1) >> h.shift) >> unitChunkShift
-	for c := first; c <= last; c++ {
-		if h.units[c].Load() == nil {
-			h.units[c].Store(new(unitChunk))
-		}
-	}
 	h.carveMu.Unlock()
 	return addr, want, true
 }
@@ -207,21 +206,37 @@ func (h *Heap) blockIndex(addr mte.Addr) (uint64, bool) {
 }
 
 // unitEntry resolves a units-registry index to its chunk entry, or nil when
-// the covering chunk was never allocated — i.e. the bump cursor has not
-// reached that part of the heap, so no block can start there.
+// the covering directory or chunk was never allocated — i.e. no block has
+// ever started in that part of the heap.
 func (h *Heap) unitEntry(idx uint64) *uint32 {
-	c := h.units[idx>>unitChunkShift].Load()
+	d := h.units[idx>>(unitChunkShift+unitDirShift)].Load()
+	if d == nil {
+		return nil
+	}
+	c := d[idx>>unitChunkShift&(dirChunks-1)].Load()
 	if c == nil {
 		return nil
 	}
 	return &c[idx&(chunkUnits-1)]
 }
 
+// publish returns the pointer in p, storing a fresh zero T there first if
+// it is nil. Racing publishers agree on the one that won the swap.
+func publish[T any](p *atomic.Pointer[T]) *T {
+	if v := p.Load(); v != nil {
+		return v
+	}
+	p.CompareAndSwap(nil, new(T))
+	return p.Load()
+}
+
 // setLive publishes a block in the units registry. The entry at the block's
 // start index holds its size in alignment units; interior indices stay zero.
-// The chunk is guaranteed to exist: the block came out of a carved range.
+// The covering directory and chunk are allocated here on first use.
 func (h *Heap) setLive(idx, rounded uint64) {
-	atomic.StoreUint32(h.unitEntry(idx), uint32(rounded>>h.shift))
+	d := publish(&h.units[idx>>(unitChunkShift+unitDirShift)])
+	c := publish(&d[idx>>unitChunkShift&(dirChunks-1)])
+	atomic.StoreUint32(&c[idx&(chunkUnits-1)], uint32(rounded>>h.shift))
 }
 
 // liveSize reads a block's rounded size from the registry; 0 means no live

@@ -204,10 +204,13 @@ const DefaultSinkCapacity = 256
 type Sink struct {
 	mu sync.Mutex
 
-	// ring holds the most recent fault records; seq counts all of them ever
-	// recorded, so seq - len(ring) records have been dropped.
+	// ring holds the most recent fault records. It grows to capacity, then
+	// each new record overwrites the oldest, at ring[head], and head moves
+	// on; so the records run oldest-first from head around to head-1. seq
+	// counts all records ever made, so seq - len(ring) have been dropped.
 	capacity int
 	ring     []FaultRecord
+	head     int
 	seq      uint64
 
 	sigs map[FaultSignature]*SignatureCount
@@ -468,11 +471,11 @@ func (s *Sink) RecordFault(session, workload string, f *mte.Fault) (FaultRecord,
 	defer s.mu.Unlock()
 	s.seq++
 	rec.Seq = s.seq
-	if len(s.ring) == s.capacity {
-		copy(s.ring, s.ring[1:])
-		s.ring[len(s.ring)-1] = rec
-	} else {
+	if len(s.ring) < s.capacity {
 		s.ring = append(s.ring, rec)
+	} else {
+		s.ring[s.head] = rec
+		s.head = (s.head + 1) % s.capacity
 	}
 	sc, seen := s.sigs[sig]
 	if !seen {
@@ -536,7 +539,7 @@ func (s *Sink) Snapshot() TelemetrySnapshot {
 	sort.Slice(snap.AttackSchemes, func(i, j int) bool {
 		return snap.AttackSchemes[i].Scheme < snap.AttackSchemes[j].Scheme
 	})
-	snap.Recent = append([]FaultRecord(nil), s.ring...)
+	snap.Recent = append(append(make([]FaultRecord, 0, len(s.ring)), s.ring[s.head:]...), s.ring[:s.head]...)
 	for _, st := range s.spanStats {
 		snap.Spans = append(snap.Spans, *st)
 	}

@@ -73,23 +73,31 @@ func TestSinkDedupBySignature(t *testing.T) {
 
 func TestSinkRingBounded(t *testing.T) {
 	s := NewSink(4)
-	for i := 0; i < 6; i++ {
-		s.RecordFault("sess", "w", telemetryFault("pc", mte.Tag(i%8), false))
-	}
-	snap := s.Snapshot()
-	if len(snap.Recent) != 4 {
-		t.Fatalf("ring holds %d records, want 4", len(snap.Recent))
-	}
-	if snap.DroppedFaultRecords != 2 {
-		t.Fatalf("dropped = %d, want 2", snap.DroppedFaultRecords)
-	}
-	if snap.Recent[0].Seq != 3 || snap.Recent[3].Seq != 6 {
-		t.Fatalf("ring kept seqs %d..%d, want 3..6", snap.Recent[0].Seq, snap.Recent[3].Seq)
-	}
-	if snap.FaultsTotal != 0 {
-		// RecordFault alone does not bump the request-level fault counter;
-		// that is ObserveRequest's job, so the two reconcile independently.
-		t.Fatalf("RecordFault bumped FaultsTotal to %d", snap.FaultsTotal)
+	// 6 records fill the ring and wrap it once; 19 wrap it four times and
+	// end with the head mid-ring.
+	total := 0
+	for _, n := range []int{6, 13} {
+		for i := 0; i < n; i++ {
+			total++
+			s.RecordFault("sess", "w", telemetryFault("pc", mte.Tag(total%8), false))
+		}
+		snap := s.Snapshot()
+		if len(snap.Recent) != 4 {
+			t.Fatalf("after %d faults the ring holds %d records, want 4", total, len(snap.Recent))
+		}
+		if snap.DroppedFaultRecords != uint64(total-4) {
+			t.Fatalf("after %d faults dropped = %d, want %d", total, snap.DroppedFaultRecords, total-4)
+		}
+		for i, rec := range snap.Recent {
+			if want := uint64(total - 3 + i); rec.Seq != want {
+				t.Fatalf("after %d faults Recent[%d].Seq = %d, want %d (oldest first)", total, i, rec.Seq, want)
+			}
+		}
+		if snap.FaultsTotal != 0 {
+			// RecordFault alone does not bump the request-level fault counter;
+			// that is ObserveRequest's job, so the two reconcile independently.
+			t.Fatalf("RecordFault bumped FaultsTotal to %d", snap.FaultsTotal)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 // held in a Java byte[]. Bulk pattern: the corpus is pulled across JNI
 // once, compressed natively, and the compressed size is recorded.
 type FileCompression struct {
+	meta
 	size  int
 	input *vm.Object
 	ratio float64
@@ -24,21 +25,16 @@ func NewFileCompression(s Scale) *FileCompression {
 	if s == ScaleSmall {
 		size = 16 << 10
 	}
-	return &FileCompression{size: size}
+	return &FileCompression{meta: newMeta("File Compression", Bulk, s), size: size}
 }
 
-// Name implements Workload.
-func (w *FileCompression) Name() string { return "File Compression" }
-
-// Pattern implements Workload.
-func (w *FileCompression) Pattern() Pattern { return Bulk }
-
-// Setup implements Workload: synthesize a compressible corpus.
+// Setup implements Workload.
 func (w *FileCompression) Setup(env *jni.Env) error {
-	arr, err := env.NewArray(vm.KindByte, w.size)
-	if err != nil {
-		return err
-	}
+	return publish(env, w.inputs(w.generate), &w.input)
+}
+
+// generate synthesizes a compressible corpus.
+func (w *FileCompression) generate() []array {
 	words := []string{"the ", "quick ", "brown ", "fox ", "jumps ", "over ", "lazy ", "dog ", "memory ", "tagging "}
 	data := make([]byte, w.size)
 	rng := xorshift32(0xC0FFEE)
@@ -48,11 +44,7 @@ func (w *FileCompression) Setup(env *jni.Env) error {
 		n := copy(data[pos:], word)
 		pos += n
 	}
-	if err := env.SetArrayRegion(vm.KindByte, arr, 0, w.size, data); err != nil {
-		return err
-	}
-	w.input = arr
-	return nil
+	return []array{byteArray(data)}
 }
 
 // lz77Heads recycles lz77Compress's hash-head tables across runs.
@@ -120,6 +112,7 @@ func (w *FileCompression) Verify() error {
 // plus run-length compression of quantized mesh vertex data held in a Java
 // int[]. Bulk pattern.
 type AssetCompression struct {
+	meta
 	verts  int
 	mesh   *vm.Object
 	outLen int
@@ -131,32 +124,24 @@ func NewAssetCompression(s Scale) *AssetCompression {
 	if s == ScaleSmall {
 		verts = 1 << 12
 	}
-	return &AssetCompression{verts: verts}
+	return &AssetCompression{meta: newMeta("Asset Compression", Bulk, s), verts: verts}
 }
 
-// Name implements Workload.
-func (w *AssetCompression) Name() string { return "Asset Compression" }
-
-// Pattern implements Workload.
-func (w *AssetCompression) Pattern() Pattern { return Bulk }
-
-// Setup implements Workload: synthesize smooth vertex positions, which
-// delta-encode well.
+// Setup implements Workload.
 func (w *AssetCompression) Setup(env *jni.Env) error {
-	arr, err := env.NewArray(vm.KindInt, w.verts)
-	if err != nil {
-		return err
-	}
+	return publish(env, w.inputs(w.generate), &w.mesh)
+}
+
+// generate synthesizes smooth vertex positions, which delta-encode well.
+func (w *AssetCompression) generate() []array {
+	mesh := make([]int32, w.verts)
 	rng := xorshift32(0xA55E7)
 	v := int32(1 << 20)
-	for i := 0; i < w.verts; i++ {
+	for i := range mesh {
 		v += int32(rng.next()%17) - 8 // small jitter: smooth surface
-		if err := arr.SetElem(i, uint64(uint32(v))); err != nil {
-			return err
-		}
+		mesh[i] = v
 	}
-	w.mesh = arr
-	return nil
+	return []array{intArray(mesh)}
 }
 
 // Run implements Workload.

@@ -16,13 +16,9 @@ func imageDim(s Scale) int {
 	return 384
 }
 
-// newImage allocates a Java int[] of dim*dim ARGB pixels filled with a
-// deterministic gradient-plus-noise pattern.
-func newImage(env *jni.Env, dim int, seed uint32) (*vm.Object, error) {
-	arr, err := env.NewArray(vm.KindInt, dim*dim)
-	if err != nil {
-		return nil, err
-	}
+// image generates an int[] of dim*dim ARGB pixels in a deterministic
+// gradient-plus-noise pattern.
+func image(dim int, seed uint32) array {
 	rng := xorshift32(seed)
 	data := make([]byte, dim*dim*4)
 	for y := 0; y < dim; y++ {
@@ -34,10 +30,7 @@ func newImage(env *jni.Env, dim int, seed uint32) (*vm.Object, error) {
 			data[i], data[i+1], data[i+2], data[i+3] = b, g, r, 0xFF
 		}
 	}
-	if err := env.SetArrayRegion(vm.KindInt, arr, 0, dim*dim, data); err != nil {
-		return nil, err
-	}
-	return arr, nil
+	return array{vm.KindInt, dim * dim, data}
 }
 
 // PDFRenderer stands in for GB6 "PDF Renderer": rasterizing vector path
@@ -46,6 +39,7 @@ func newImage(env *jni.Env, dim int, seed uint32) (*vm.Object, error) {
 // with a checked store — the access behaviour the paper identifies as
 // hostile to MTE+Sync.
 type PDFRenderer struct {
+	meta
 	dim      int
 	commands int
 	page     *vm.Object
@@ -59,14 +53,8 @@ func NewPDFRenderer(s Scale) *PDFRenderer {
 	if s == ScaleSmall {
 		cmds = 40
 	}
-	return &PDFRenderer{dim: dim, commands: cmds}
+	return &PDFRenderer{meta: newMeta("PDF Renderer", Intensive, s), dim: dim, commands: cmds}
 }
-
-// Name implements Workload.
-func (w *PDFRenderer) Name() string { return "PDF Renderer" }
-
-// Pattern implements Workload.
-func (w *PDFRenderer) Pattern() Pattern { return Intensive }
 
 // Setup implements Workload.
 func (w *PDFRenderer) Setup(env *jni.Env) error {
@@ -166,6 +154,7 @@ func abs(x int) int {
 // PhotoLibrary stands in for GB6 "Photo Library": thumbnailing (box
 // downscale) plus luminance histogramming of an image. Bulk pattern.
 type PhotoLibrary struct {
+	meta
 	dim   int
 	img   *vm.Object
 	thumb *vm.Object
@@ -173,26 +162,18 @@ type PhotoLibrary struct {
 }
 
 // NewPhotoLibrary builds the workload at the given scale.
-func NewPhotoLibrary(s Scale) *PhotoLibrary { return &PhotoLibrary{dim: imageDim(s)} }
-
-// Name implements Workload.
-func (w *PhotoLibrary) Name() string { return "Photo Library" }
-
-// Pattern implements Workload.
-func (w *PhotoLibrary) Pattern() Pattern { return Bulk }
+func NewPhotoLibrary(s Scale) *PhotoLibrary {
+	return &PhotoLibrary{meta: newMeta("Photo Library", Bulk, s), dim: imageDim(s)}
+}
 
 // Setup implements Workload.
 func (w *PhotoLibrary) Setup(env *jni.Env) error {
-	img, err := newImage(env, w.dim, 0x9107)
-	if err != nil {
-		return err
-	}
-	thumb, err := env.NewArray(vm.KindInt, (w.dim/4)*(w.dim/4))
-	if err != nil {
-		return err
-	}
-	w.img, w.thumb = img, thumb
-	return nil
+	return publish(env, w.inputs(w.generate), &w.img, &w.thumb)
+}
+
+// generate builds the photo and an empty thumbnail.
+func (w *PhotoLibrary) generate() []array {
+	return []array{image(w.dim, 0x9107), zeroInts((w.dim / 4) * (w.dim / 4))}
 }
 
 // Run implements Workload.
@@ -244,26 +225,24 @@ func (w *PhotoLibrary) Verify() error {
 // stack (3x3 edge kernel + 2x2 max-pool) followed by region scoring. Bulk
 // pattern.
 type ObjectDetection struct {
+	meta
 	dim   int
 	img   *vm.Object
 	score int64
 }
 
 // NewObjectDetection builds the workload at the given scale.
-func NewObjectDetection(s Scale) *ObjectDetection { return &ObjectDetection{dim: imageDim(s)} }
-
-// Name implements Workload.
-func (w *ObjectDetection) Name() string { return "Object Detection" }
-
-// Pattern implements Workload.
-func (w *ObjectDetection) Pattern() Pattern { return Bulk }
+func NewObjectDetection(s Scale) *ObjectDetection {
+	return &ObjectDetection{meta: newMeta("Object Detection", Bulk, s), dim: imageDim(s)}
+}
 
 // Setup implements Workload.
 func (w *ObjectDetection) Setup(env *jni.Env) error {
-	img, err := newImage(env, w.dim, 0x0B7EC7)
-	w.img = img
-	return err
+	return publish(env, w.inputs(w.generate), &w.img)
 }
+
+// generate builds the input image.
+func (w *ObjectDetection) generate() []array { return []array{image(w.dim, 0x0B7EC7)} }
 
 // Run implements Workload.
 func (w *ObjectDetection) Run(env *jni.Env) error {
@@ -326,26 +305,24 @@ func (w *ObjectDetection) Verify() error {
 // BackgroundBlur stands in for GB6 "Background Blur": a separable box blur
 // over the image with the result written back through JNI. Bulk pattern.
 type BackgroundBlur struct {
+	meta
 	dim int
 	img *vm.Object
 	sum int64
 }
 
 // NewBackgroundBlur builds the workload at the given scale.
-func NewBackgroundBlur(s Scale) *BackgroundBlur { return &BackgroundBlur{dim: imageDim(s)} }
-
-// Name implements Workload.
-func (w *BackgroundBlur) Name() string { return "Background Blur" }
-
-// Pattern implements Workload.
-func (w *BackgroundBlur) Pattern() Pattern { return Bulk }
+func NewBackgroundBlur(s Scale) *BackgroundBlur {
+	return &BackgroundBlur{meta: newMeta("Background Blur", Bulk, s), dim: imageDim(s)}
+}
 
 // Setup implements Workload.
 func (w *BackgroundBlur) Setup(env *jni.Env) error {
-	img, err := newImage(env, w.dim, 0xB10B)
-	w.img = img
-	return err
+	return publish(env, w.inputs(w.generate), &w.img)
 }
+
+// generate builds the input image.
+func (w *BackgroundBlur) generate() []array { return []array{image(w.dim, 0xB10B)} }
 
 // Run implements Workload.
 func (w *BackgroundBlur) Run(env *jni.Env) error {
@@ -429,6 +406,7 @@ func (w *BackgroundBlur) Verify() error {
 // estimation plus a line-angle vote to find the dominant horizon. Bulk
 // pattern.
 type HorizonDetection struct {
+	meta
 	dim   int
 	img   *vm.Object
 	angle int
@@ -436,21 +414,18 @@ type HorizonDetection struct {
 }
 
 // NewHorizonDetection builds the workload at the given scale.
-func NewHorizonDetection(s Scale) *HorizonDetection { return &HorizonDetection{dim: imageDim(s)} }
+func NewHorizonDetection(s Scale) *HorizonDetection {
+	return &HorizonDetection{meta: newMeta("Horizon Detection", Bulk, s), dim: imageDim(s)}
+}
 
-// Name implements Workload.
-func (w *HorizonDetection) Name() string { return "Horizon Detection" }
-
-// Pattern implements Workload.
-func (w *HorizonDetection) Pattern() Pattern { return Bulk }
-
-// Setup implements Workload: a sky/ground split gives a real horizon.
+// Setup implements Workload.
 func (w *HorizonDetection) Setup(env *jni.Env) error {
+	return publish(env, w.inputs(w.generate), &w.img)
+}
+
+// generate builds a sky/ground split, which gives a real horizon.
+func (w *HorizonDetection) generate() []array {
 	dim := w.dim
-	arr, err := env.NewArray(vm.KindInt, dim*dim)
-	if err != nil {
-		return err
-	}
 	data := make([]byte, dim*dim*4)
 	for y := 0; y < dim; y++ {
 		for x := 0; x < dim; x++ {
@@ -462,11 +437,7 @@ func (w *HorizonDetection) Setup(env *jni.Env) error {
 			}
 		}
 	}
-	if err := env.SetArrayRegion(vm.KindInt, arr, 0, dim*dim, data); err != nil {
-		return err
-	}
-	w.img = arr
-	return nil
+	return []array{{vm.KindInt, dim * dim, data}}
 }
 
 // Run implements Workload.
@@ -531,26 +502,24 @@ func (w *HorizonDetection) Verify() error {
 // ObjectRemover stands in for GB6 "Object Remover": masking a region and
 // inpainting it by iterative neighbour averaging. Bulk pattern.
 type ObjectRemover struct {
+	meta
 	dim      int
 	img      *vm.Object
 	residual int64
 }
 
 // NewObjectRemover builds the workload at the given scale.
-func NewObjectRemover(s Scale) *ObjectRemover { return &ObjectRemover{dim: imageDim(s)} }
-
-// Name implements Workload.
-func (w *ObjectRemover) Name() string { return "Object Remover" }
-
-// Pattern implements Workload.
-func (w *ObjectRemover) Pattern() Pattern { return Bulk }
+func NewObjectRemover(s Scale) *ObjectRemover {
+	return &ObjectRemover{meta: newMeta("Object Remover", Bulk, s), dim: imageDim(s)}
+}
 
 // Setup implements Workload.
 func (w *ObjectRemover) Setup(env *jni.Env) error {
-	img, err := newImage(env, w.dim, 0x0B0E)
-	w.img = img
-	return err
+	return publish(env, w.inputs(w.generate), &w.img)
 }
+
+// generate builds the input image.
+func (w *ObjectRemover) generate() []array { return []array{image(w.dim, 0x0B0E)} }
 
 // Run implements Workload.
 func (w *ObjectRemover) Run(env *jni.Env) error {
@@ -605,6 +574,7 @@ func (w *ObjectRemover) Verify() error {
 // Reinhard-style tone map. Bulk pattern over three input arrays plus the
 // output.
 type HDR struct {
+	meta
 	dim    int
 	exp    [3]*vm.Object
 	out    *vm.Object
@@ -612,29 +582,18 @@ type HDR struct {
 }
 
 // NewHDR builds the workload at the given scale.
-func NewHDR(s Scale) *HDR { return &HDR{dim: imageDim(s)} }
-
-// Name implements Workload.
-func (w *HDR) Name() string { return "HDR" }
-
-// Pattern implements Workload.
-func (w *HDR) Pattern() Pattern { return Bulk }
+func NewHDR(s Scale) *HDR {
+	return &HDR{meta: newMeta("HDR", Bulk, s), dim: imageDim(s)}
+}
 
 // Setup implements Workload.
 func (w *HDR) Setup(env *jni.Env) error {
-	for i := range w.exp {
-		img, err := newImage(env, w.dim, 0x48D0+uint32(i))
-		if err != nil {
-			return err
-		}
-		w.exp[i] = img
-	}
-	out, err := env.NewArray(vm.KindInt, w.dim*w.dim)
-	if err != nil {
-		return err
-	}
-	w.out = out
-	return nil
+	return publish(env, w.inputs(w.generate), &w.exp[0], &w.exp[1], &w.exp[2], &w.out)
+}
+
+// generate builds the three exposures and an empty output image.
+func (w *HDR) generate() []array {
+	return []array{image(w.dim, 0x48D0), image(w.dim, 0x48D1), image(w.dim, 0x48D2), zeroInts(w.dim * w.dim)}
 }
 
 // Run implements Workload.
@@ -683,26 +642,24 @@ func (w *HDR) Verify() error {
 // PhotoFilter stands in for GB6 "Photo Filter": a colour LUT plus
 // saturation boost applied per pixel natively. Bulk pattern.
 type PhotoFilter struct {
+	meta
 	dim int
 	img *vm.Object
 	sum int64
 }
 
 // NewPhotoFilter builds the workload at the given scale.
-func NewPhotoFilter(s Scale) *PhotoFilter { return &PhotoFilter{dim: imageDim(s)} }
-
-// Name implements Workload.
-func (w *PhotoFilter) Name() string { return "Photo Filter" }
-
-// Pattern implements Workload.
-func (w *PhotoFilter) Pattern() Pattern { return Bulk }
+func NewPhotoFilter(s Scale) *PhotoFilter {
+	return &PhotoFilter{meta: newMeta("Photo Filter", Bulk, s), dim: imageDim(s)}
+}
 
 // Setup implements Workload.
 func (w *PhotoFilter) Setup(env *jni.Env) error {
-	img, err := newImage(env, w.dim, 0xF117E4)
-	w.img = img
-	return err
+	return publish(env, w.inputs(w.generate), &w.img)
 }
+
+// generate builds the input image.
+func (w *PhotoFilter) generate() []array { return []array{image(w.dim, 0xF117E4)} }
 
 // Run implements Workload.
 func (w *PhotoFilter) Run(env *jni.Env) error {

@@ -12,6 +12,7 @@ import (
 // random road network stored in Java int arrays (CSR adjacency). Bulk
 // pattern: the graph crosses JNI once per run, route computation is native.
 type Navigation struct {
+	meta
 	nodes   int
 	degree  int
 	offsets *vm.Object // int[nodes+1]
@@ -26,17 +27,16 @@ func NewNavigation(s Scale) *Navigation {
 	if s == ScaleSmall {
 		nodes = 800
 	}
-	return &Navigation{nodes: nodes, degree: 4}
+	return &Navigation{meta: newMeta("Navigation", Bulk, s), nodes: nodes, degree: 4}
 }
 
-// Name implements Workload.
-func (w *Navigation) Name() string { return "Navigation" }
-
-// Pattern implements Workload.
-func (w *Navigation) Pattern() Pattern { return Bulk }
-
-// Setup implements Workload: build a ring + random chords road network.
+// Setup implements Workload.
 func (w *Navigation) Setup(env *jni.Env) error {
+	return publish(env, w.inputs(w.generate), &w.offsets, &w.edges)
+}
+
+// generate builds a ring + random chords road network.
+func (w *Navigation) generate() []array {
 	n, deg := w.nodes, w.degree
 	offsets := make([]int32, n+1)
 	edges := make([]int32, 0, n*deg*2)
@@ -50,27 +50,7 @@ func (w *Navigation) Setup(env *jni.Env) error {
 		}
 	}
 	offsets[n] = int32(len(edges) / 2)
-
-	offArr, err := env.NewArray(vm.KindInt, len(offsets))
-	if err != nil {
-		return err
-	}
-	for i, v := range offsets {
-		if err := offArr.SetElem(i, uint64(uint32(v))); err != nil {
-			return err
-		}
-	}
-	edgeArr, err := env.NewArray(vm.KindInt, len(edges))
-	if err != nil {
-		return err
-	}
-	for i, v := range edges {
-		if err := edgeArr.SetElem(i, uint64(uint32(v))); err != nil {
-			return err
-		}
-	}
-	w.offsets, w.edges = offArr, edgeArr
-	return nil
+	return []array{intArray(offsets), intArray(edges)}
 }
 
 // Run implements Workload: Dijkstra with a binary heap.
@@ -165,6 +145,7 @@ func (w *Navigation) Verify() error {
 // rendering of a sphere scene into a Java int[] framebuffer. Bulk pattern:
 // heavy native float compute, one bulk publish at the end.
 type RayTracer struct {
+	meta
 	dim    int
 	fb     *vm.Object
 	hits   int
@@ -177,14 +158,8 @@ func NewRayTracer(s Scale) *RayTracer {
 	if s == ScaleSmall {
 		dim = 48
 	}
-	return &RayTracer{dim: dim}
+	return &RayTracer{meta: newMeta("Ray Tracer", Bulk, s), dim: dim}
 }
-
-// Name implements Workload.
-func (w *RayTracer) Name() string { return "Ray Tracer" }
-
-// Pattern implements Workload.
-func (w *RayTracer) Pattern() Pattern { return Bulk }
 
 // Setup implements Workload.
 func (w *RayTracer) Setup(env *jni.Env) error {
@@ -316,6 +291,7 @@ func (w *RayTracer) Verify() error {
 // matching between two synthetic views plus a least-squares translation
 // estimate. Bulk pattern over two int[] descriptor arrays.
 type StructureFromMotion struct {
+	meta
 	features int
 	viewA    *vm.Object
 	viewB    *vm.Object
@@ -330,18 +306,17 @@ func NewStructureFromMotion(s Scale) *StructureFromMotion {
 	if s == ScaleSmall {
 		features = 300
 	}
-	return &StructureFromMotion{features: features}
+	return &StructureFromMotion{meta: newMeta("Structure from Motion", Bulk, s), features: features}
 }
 
-// Name implements Workload.
-func (w *StructureFromMotion) Name() string { return "Structure from Motion" }
-
-// Pattern implements Workload.
-func (w *StructureFromMotion) Pattern() Pattern { return Bulk }
-
-// Setup implements Workload: view B is view A shifted by (7, -3) with
-// noisy descriptors. Each feature is (x, y, desc0..desc5).
+// Setup implements Workload.
 func (w *StructureFromMotion) Setup(env *jni.Env) error {
+	return publish(env, w.inputs(w.generate), &w.viewA, &w.viewB)
+}
+
+// generate builds the two views: view B is view A shifted by (7, -3) with
+// noisy descriptors. Each feature is (x, y, desc0..desc5).
+func (w *StructureFromMotion) generate() []array {
 	const stride = 8
 	n := w.features
 	a := make([]int32, n*stride)
@@ -357,24 +332,7 @@ func (w *StructureFromMotion) Setup(env *jni.Env) error {
 			b[i*stride+d] = v + int32(rng.next()%3) - 1 // descriptor noise
 		}
 	}
-	mk := func(data []int32) (*vm.Object, error) {
-		arr, err := env.NewArray(vm.KindInt, len(data))
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range data {
-			if err := arr.SetElem(i, uint64(uint32(v))); err != nil {
-				return nil, err
-			}
-		}
-		return arr, nil
-	}
-	var err error
-	if w.viewA, err = mk(a); err != nil {
-		return err
-	}
-	w.viewB, err = mk(b)
-	return err
+	return []array{intArray(a), intArray(b)}
 }
 
 // Run implements Workload: nearest-descriptor matching via bucket hashing,

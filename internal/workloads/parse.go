@@ -12,6 +12,7 @@ import (
 // HTML document and building a tag histogram plus a DOM depth profile.
 // Bulk pattern: the document crosses JNI once per run.
 type HTML5Browser struct {
+	meta
 	size     int
 	doc      *vm.Object
 	maxDepth int
@@ -24,21 +25,16 @@ func NewHTML5Browser(s Scale) *HTML5Browser {
 	if s == ScaleSmall {
 		size = 8 << 10
 	}
-	return &HTML5Browser{size: size}
+	return &HTML5Browser{meta: newMeta("HTML5 Browser", Bulk, s), size: size}
 }
 
-// Name implements Workload.
-func (w *HTML5Browser) Name() string { return "HTML5 Browser" }
-
-// Pattern implements Workload.
-func (w *HTML5Browser) Pattern() Pattern { return Bulk }
-
-// Setup implements Workload: generate nested markup.
+// Setup implements Workload.
 func (w *HTML5Browser) Setup(env *jni.Env) error {
-	arr, err := env.NewArray(vm.KindByte, w.size)
-	if err != nil {
-		return err
-	}
+	return publish(env, w.inputs(w.generate), &w.doc)
+}
+
+// generate writes nested markup.
+func (w *HTML5Browser) generate() []array {
 	tags := []string{"div", "span", "p", "ul", "li", "a", "h1", "table"}
 	data := make([]byte, 0, w.size)
 	rng := xorshift32(0x11735)
@@ -68,11 +64,7 @@ func (w *HTML5Browser) Setup(env *jni.Env) error {
 	data = data[:min(len(data), w.size)]
 	padded := make([]byte, w.size)
 	copy(padded, data)
-	if err := env.SetArrayRegion(vm.KindByte, arr, 0, w.size, padded); err != nil {
-		return err
-	}
-	w.doc = arr
-	return nil
+	return []array{byteArray(padded)}
 }
 
 // Run implements Workload: a simple HTML tokenizer.
@@ -116,6 +108,7 @@ func (w *HTML5Browser) Verify() error {
 // source byte by byte through the raw Java pointer, so under MTE+Sync every
 // character costs a tag check — the behaviour the paper singles out.
 type Clang struct {
+	meta
 	size      int
 	src       *vm.Object
 	tokens    int
@@ -128,21 +121,16 @@ func NewClang(s Scale) *Clang {
 	if s == ScaleSmall {
 		size = 8 << 10
 	}
-	return &Clang{size: size}
+	return &Clang{meta: newMeta("Clang", Intensive, s), size: size}
 }
 
-// Name implements Workload.
-func (w *Clang) Name() string { return "Clang" }
-
-// Pattern implements Workload.
-func (w *Clang) Pattern() Pattern { return Intensive }
-
-// Setup implements Workload: synthesize function definitions.
+// Setup implements Workload.
 func (w *Clang) Setup(env *jni.Env) error {
-	arr, err := env.NewArray(vm.KindByte, w.size)
-	if err != nil {
-		return err
-	}
+	return publish(env, w.inputs(w.generate), &w.src)
+}
+
+// generate synthesizes function definitions.
+func (w *Clang) generate() []array {
 	data := make([]byte, 0, w.size)
 	rng := xorshift32(0xC1A46)
 	fn := 0
@@ -157,11 +145,7 @@ func (w *Clang) Setup(env *jni.Env) error {
 	for i := n; i < w.size; i++ {
 		padded[i] = ' '
 	}
-	if err := env.SetArrayRegion(vm.KindByte, arr, 0, w.size, padded); err != nil {
-		return err
-	}
-	w.src = arr
-	return nil
+	return []array{byteArray(padded)}
 }
 
 // Run implements Workload: per-byte lexing through the raw pointer.
@@ -225,6 +209,7 @@ func (w *Clang) Verify() error {
 // TextProcessing stands in for GB6 "Text Processing": word frequency and
 // sentence statistics over a document. INTENSIVE pattern, like Clang.
 type TextProcessing struct {
+	meta
 	size      int
 	text      *vm.Object
 	words     int
@@ -237,21 +222,16 @@ func NewTextProcessing(s Scale) *TextProcessing {
 	if s == ScaleSmall {
 		size = 8 << 10
 	}
-	return &TextProcessing{size: size}
+	return &TextProcessing{meta: newMeta("Text Processing", Intensive, s), size: size}
 }
-
-// Name implements Workload.
-func (w *TextProcessing) Name() string { return "Text Processing" }
-
-// Pattern implements Workload.
-func (w *TextProcessing) Pattern() Pattern { return Intensive }
 
 // Setup implements Workload.
 func (w *TextProcessing) Setup(env *jni.Env) error {
-	arr, err := env.NewArray(vm.KindByte, w.size)
-	if err != nil {
-		return err
-	}
+	return publish(env, w.inputs(w.generate), &w.text)
+}
+
+// generate writes sentences of random words.
+func (w *TextProcessing) generate() []array {
 	words := []string{"memory", "tag", "native", "heap", "pointer", "java", "android", "check"}
 	data := make([]byte, 0, w.size)
 	rng := xorshift32(0x7E47)
@@ -267,11 +247,7 @@ func (w *TextProcessing) Setup(env *jni.Env) error {
 	for i := n; i < w.size; i++ {
 		padded[i] = ' '
 	}
-	if err := env.SetArrayRegion(vm.KindByte, arr, 0, w.size, padded); err != nil {
-		return err
-	}
-	w.text = arr
-	return nil
+	return []array{byteArray(padded)}
 }
 
 // Run implements Workload: per-character scan with a rolling word hash.

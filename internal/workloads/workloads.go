@@ -51,8 +51,12 @@ type Workload interface {
 	Name() string
 	// Pattern reports the JNI access pattern.
 	Pattern() Pattern
-	// Setup allocates the workload's Java objects via env. It is called
-	// once, outside the timed region.
+	// Setup allocates the workload's Java objects via env and fills them
+	// with its input, outside the timed region. The experiments call it
+	// once per runtime before timing Run; the serving pool calls it on
+	// every request, in the leased session's heap. The input bytes are
+	// generated once per process and scale (see inputs.go), so Setup
+	// itself only allocates fresh arrays and bulk-copies them in.
 	Setup(env *jni.Env) error
 	// Run executes one iteration as a native method body. It is invoked
 	// inside a JNI trampoline by the driver.
@@ -72,38 +76,81 @@ const (
 	ScaleDefault
 )
 
+// suite lists the workload constructors in GeekBench's listing order.
+var suite = [...]func(Scale) Workload{
+	entry(NewFileCompression),
+	entry(NewNavigation),
+	entry(NewHTML5Browser),
+	entry(NewPDFRenderer),
+	entry(NewPhotoLibrary),
+	entry(NewClang),
+	entry(NewTextProcessing),
+	entry(NewAssetCompression),
+	entry(NewObjectDetection),
+	entry(NewBackgroundBlur),
+	entry(NewHorizonDetection),
+	entry(NewObjectRemover),
+	entry(NewHDR),
+	entry(NewPhotoFilter),
+	entry(NewRayTracer),
+	entry(NewStructureFromMotion),
+}
+
+// entry adapts a concrete constructor to a suite entry.
+func entry[W Workload](mk func(Scale) W) func(Scale) Workload {
+	return func(s Scale) Workload { return mk(s) }
+}
+
+// suiteIndex maps each workload name to its position in suite.
+var suiteIndex = func() map[string]int {
+	m := make(map[string]int, len(suite))
+	for i, mk := range suite {
+		m[mk(ScaleSmall).Name()] = i
+	}
+	return m
+}()
+
 // All returns the full 16-workload suite at the given scale, in GeekBench's
 // listing order.
 func All(s Scale) []Workload {
-	return []Workload{
-		NewFileCompression(s),
-		NewNavigation(s),
-		NewHTML5Browser(s),
-		NewPDFRenderer(s),
-		NewPhotoLibrary(s),
-		NewClang(s),
-		NewTextProcessing(s),
-		NewAssetCompression(s),
-		NewObjectDetection(s),
-		NewBackgroundBlur(s),
-		NewHorizonDetection(s),
-		NewObjectRemover(s),
-		NewHDR(s),
-		NewPhotoFilter(s),
-		NewRayTracer(s),
-		NewStructureFromMotion(s),
+	all := make([]Workload, len(suite))
+	for i, mk := range suite {
+		all[i] = mk(s)
 	}
+	return all
 }
 
-// ByName finds a workload by its sub-item name.
+// ByName builds the workload with the given sub-item name.
 func ByName(name string, s Scale) (Workload, error) {
-	for _, w := range All(s) {
-		if w.Name() == name {
-			return w, nil
-		}
+	i, ok := suiteIndex[name]
+	if !ok {
+		return nil, fmt.Errorf("workloads: unknown workload %q", name)
 	}
-	return nil, fmt.Errorf("workloads: unknown workload %q", name)
+	return suite[i](s), nil
 }
+
+// meta is embedded by every workload: its name, its access pattern and
+// the scale it was built at. Name and scale key its generated input.
+type meta struct {
+	name    string
+	pattern Pattern
+	scale   Scale
+}
+
+// newMeta describes a workload; any scale other than ScaleSmall is
+// ScaleDefault, as the constructors size it.
+func newMeta(name string, p Pattern, s Scale) meta {
+	if s != ScaleSmall {
+		s = ScaleDefault
+	}
+	return meta{name: name, pattern: p, scale: s}
+}
+
+// Name is the GeekBench 6 sub-item name.
+func (m *meta) Name() string { return m.name }
+
+// Pattern reports the JNI access pattern.
+func (m *meta) Pattern() Pattern { return m.pattern }
 
 // --- shared helpers ---------------------------------------------------------
 
